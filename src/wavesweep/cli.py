@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .bench import (BACKEND_NAMES, BenchConfig, BenchGuardError, emit_csv,
                     make_backend, run_bench)
-from .driver import (DEFAULT_IC, SimulationConfig, TimestepController, run)
+from .driver import (DEFAULT_IC, IC_KERNEL, SimulationConfig, TimestepController, run)
 from .grid import GridSpec
 from .kernels import DESCRIPTORS, KERNEL_NAMES
 from .oracles import verify_suite
@@ -118,6 +118,13 @@ def _parse_threads(parser, text: str) -> tuple[int, ...]:
     return threads
 
 
+def _default_threads(parser) -> int:
+    try:
+        return default_thread_count()
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _strategy_obj(parser, name: str, tile: tuple[int, int]):
     if name == "rowwise":
         return RowWise()
@@ -144,13 +151,17 @@ def parse_args(argv) -> BenchConfig | RunConfig | VerifyConfig:
             parser.error(f"--steps must be >= 0, got {steps}")
         kernel = args.kernel
         ic = args.ic or DEFAULT_IC[kernel]
+        if ic not in IC_KERNEL:
+            parser.error(f"unknown --ic {ic!r}; choose from {', '.join(IC_KERNEL)}")
+        if IC_KERNEL[ic] != kernel:
+            parser.error(f"--ic {ic} is for --kernel {IC_KERNEL[ic]}, not {kernel}")
         desc = DESCRIPTORS[kernel]
         if args.nx < 1 or args.ny < 1:
             parser.error(f"--nx/--ny must be >= 1, got {args.nx}, {args.ny}")
         spec = GridSpec(nx=args.nx, ny=args.ny, dx=1.0 / args.nx, dy=1.0 / args.ny,
                         num_eqn=desc.num_eqn, num_aux=desc.num_aux)
         tile = _parse_tile(parser, args.tile)
-        threads = args.threads if args.threads is not None else default_thread_count()
+        threads = args.threads if args.threads is not None else _default_threads(parser)
         if threads < 1:
             parser.error(f"--threads must be >= 1, got {threads}")
         if args.grain is not None and args.grain < 1:
@@ -180,7 +191,7 @@ def parse_args(argv) -> BenchConfig | RunConfig | VerifyConfig:
         if b not in BACKEND_NAMES:
             parser.error(f"unknown backend {b!r}; choose from {', '.join(BACKEND_NAMES)}")
     if args.threads is None:
-        threads = tuple(range(1, default_thread_count() + 1))
+        threads = tuple(range(1, _default_threads(parser) + 1))
     else:
         threads = _parse_threads(parser, args.threads)
     if args.steps < 1:

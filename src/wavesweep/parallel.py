@@ -115,9 +115,12 @@ def default_thread_count() -> int:
     """Thread count to use when none is given: env override, else all cores."""
     raw = os.environ.get(THREAD_COUNT_ENV)
     if raw:
-        n = int(raw)
+        try:
+            n = int(raw)
+        except ValueError:
+            n = 0
         if n < 1:
-            raise ValueError(f"{THREAD_COUNT_ENV} must be >= 1, got {raw}")
+            raise ValueError(f"{THREAD_COUNT_ENV} must be an integer >= 1, got {raw!r}")
         return n
     return detect_cores()
 

@@ -8,8 +8,11 @@ cells, and neither reads anything another parallel unit writes.
 
 Three traversal strategies produce bitwise-identical fluctuation fields and
 differ only in iteration order and partitioning: RowWise makes one pass per
-direction, CellWise solves both directions in a single pass over rows, and
-Tiled runs the CellWise body block-by-block for cache locality.
+direction, while CellWise and Tiled share one banded body that solves both
+directions over runs of tiles.  CellWise is the tiling by whole interface rows;
+Tiled's tile_w x tile_h tiles set the unit of work distribution, and each run
+of tiles a worker takes is coalesced into at most three rectangles, each
+solved in kernel calls of up to _MAX_BLOCK interfaces.
 """
 
 from __future__ import annotations
@@ -22,11 +25,14 @@ import numpy as np
 
 from .grid import AuxField, FluctuationField, StateField
 from .kernels import Direction, Kernel, KernelError
-from .parallel import Backend, ParallelError, Range2D, Serial, for_each_unit
+from .parallel import Backend, ParallelError, Serial, for_each_unit
 
-# interfaces per kernel call: large enough to amortize dispatch overhead,
-# small enough that kernel temporaries stay cache-resident (measured optimum
-# on current hardware); chunking never changes any computed value
+# interfaces per kernel call; CellWise and Tiled coalesce a leaf's tiles into
+# calls of up to this size.  Not a cache size: one 32k-interface Euler call
+# peaks near 57 temporary planes (~14 MiB, past a 4 MiB L2).  The cap trades
+# the size of those temporaries against interpreter-lock hand-offs between
+# calls; at 8k or 4k, 2-thread Euler and advection steps ran 25-87% slower on
+# a 2-core host.  Chunking never changes a computed value.
 _MAX_BLOCK = 1 << 15
 
 # opt-in sweep self-check: count writes per interface slot, assert exactly one
@@ -45,7 +51,7 @@ class CellWise:
 
 @dataclass(frozen=True)
 class Tiled:
-    """CellWise body executed tile by tile over tile_w x tile_h blocks."""
+    """Both directions over tile_w x tile_h tiles, the unit of work distribution."""
 
     tile_w: int = 64
     tile_h: int = 64
@@ -133,6 +139,7 @@ class _SweepContext:
             if self.counter is not None:
                 self.counter.record(self.counter.x, ia, ib, a, b)
             top = max(top, float(np.abs(res.speeds).max()))
+            del res  # free this block's result before the next block allocates its own
         return top
 
     def solve_y(self, ia: int, ib: int, ja: int, jb: int) -> float:
@@ -160,12 +167,31 @@ class _SweepContext:
             if self.counter is not None:
                 self.counter.record(self.counter.y, ia, ib, a, b)
             top = max(top, float(np.abs(res.speeds).max()))
+            del res  # free this block's result before the next block allocates its own
         return top
 
 
 def _locate(direction: Direction, err: KernelError, i_base: int, j_base: int) -> SweepError:
     di, dj = (err.element or (0, 0)) if len(err.element or ()) == 2 else (0, 0)
     return SweepError(direction, i_base + di, j_base + dj, err)
+
+
+def _tile_rects(t0: int, t1: int, tiles_i: int):
+    """Cover the row-major tile run [t0, t1) with at most three rectangles.
+
+    Yields (ti0, ti1, tj0, tj1) tile ranges: the tail of a partial first band,
+    the whole bands after it, and the head of a partial last band.
+    """
+    while t0 < t1:
+        tj, ti = divmod(t0, tiles_i)
+        bands = (t1 - t0) // tiles_i if ti == 0 else 0
+        if bands:
+            yield 0, tiles_i, tj, tj + bands
+            t0 += bands * tiles_i
+        else:
+            stop = min(t1, (tj + 1) * tiles_i)
+            yield ti, stop - tj * tiles_i, tj, tj + 1
+            t0 = stop
 
 
 def _pair_max(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
@@ -196,6 +222,12 @@ def sweep(state: StateField, aux: AuxField | None, kernel: Kernel,
         )
 
     nx, ny = spec.nx, spec.ny
+    if isinstance(strategy, CellWise):
+        tile_w, tile_h = nx + 1, 1
+    elif isinstance(strategy, Tiled):
+        tile_w, tile_h = strategy.tile_w, strategy.tile_h
+    elif not isinstance(strategy, RowWise):
+        raise TypeError(f"unknown traversal strategy {strategy!r}")
     fluct = FluctuationField(spec, zeroed=False)
     counter = _WriteCounter(nx, ny) if _checked() else None
     ctx = _SweepContext(state, aux, kernel, fluct, counter)
@@ -208,34 +240,21 @@ def sweep(state: StateField, aux: AuxField | None, kernel: Kernel,
             max_sy = for_each_unit(
                 ny + 1, backend, lambda a, b: ctx.solve_y(0, nx, a, b),
                 combine=max, initial=0.0)
-        elif isinstance(strategy, CellWise):
-            def cell_rows(a, b):
-                sx = ctx.solve_x(0, nx + 1, a, min(b, ny))
-                sy = ctx.solve_y(0, nx, a, b)
-                return sx, sy
+        else:
+            tiles_i = -(-(nx + 1) // tile_w)
+            tiles_j = -(-(ny + 1) // tile_h)
 
-            max_sx, max_sy = for_each_unit(
-                ny + 1, backend, cell_rows, combine=_pair_max, initial=(0.0, 0.0))
-        elif isinstance(strategy, Tiled):
-            tiles = Range2D(0, -(-(nx + 1) // strategy.tile_w),
-                            0, -(-(ny + 1) // strategy.tile_h))
-
-            def tile_units(t0, t1):
+            def tile_run(t0, t1):
                 sx = sy = 0.0
-                for t in range(t0, t1):
-                    ti, tj = tiles.unravel(t)
-                    ia = ti * strategy.tile_w
-                    ib = min(ia + strategy.tile_w, nx + 1)
-                    ja = tj * strategy.tile_h
-                    jb = min(ja + strategy.tile_h, ny + 1)
-                    sx = max(sx, ctx.solve_x(ia, min(ib, nx + 1), ja, min(jb, ny)))
+                for ti0, ti1, tj0, tj1 in _tile_rects(t0, t1, tiles_i):
+                    ia, ib = ti0 * tile_w, min(ti1 * tile_w, nx + 1)
+                    ja, jb = tj0 * tile_h, min(tj1 * tile_h, ny + 1)
+                    sx = max(sx, ctx.solve_x(ia, ib, ja, min(jb, ny)))
                     sy = max(sy, ctx.solve_y(ia, min(ib, nx), ja, jb))
                 return sx, sy
 
             max_sx, max_sy = for_each_unit(
-                tiles, backend, tile_units, combine=_pair_max, initial=(0.0, 0.0))
-        else:
-            raise TypeError(f"unknown traversal strategy {strategy!r}")
+                tiles_i * tiles_j, backend, tile_run, combine=_pair_max, initial=(0.0, 0.0))
     except ParallelError as exc:
         # surface the precise interface location when the body pinpointed one
         if isinstance(exc.__cause__, SweepError):

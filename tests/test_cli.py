@@ -79,6 +79,19 @@ class TestParseRun:
         cfg = parse_args(["run", "--cfl", "0.5"])
         assert cfg.ctl.cfl_target == 0.5
 
+    def test_non_integer_thread_env_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("WAVESWEEP_NUM_THREADS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["run", "--backend", "static"])
+        assert exc.value.code == 2
+        assert "WAVESWEEP_NUM_THREADS" in capsys.readouterr().err
+
+    def test_kernel_ic_mismatch_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["run", "--kernel", "euler", "--ic", "advection-gaussian"])
+        assert exc.value.code == 2
+        assert "advection-gaussian" in capsys.readouterr().err
+
 
 def test_parse_verify():
     cfg = parse_args(["verify", "--seed", "42"])

@@ -1,11 +1,14 @@
+import importlib
+import threading
+
 import numpy as np
 import pytest
 
 from wavesweep.grid import (AuxField, BoundaryCondition, GridSpec, StateField,
                             allocate_fields, fill_ghost)
-from wavesweep.kernels import make_kernel
+from wavesweep.kernels import Kernel, make_kernel
 from wavesweep.oracles import random_gas_states
-from wavesweep.parallel import Serial, StaticThreads, WorkStealing
+from wavesweep.parallel import Serial, StaticThreads, WorkStealing, for_each_unit
 from wavesweep.sweep import (CellWise, RowWise, SweepError, Tiled, apply_update,
                              sweep)
 
@@ -103,6 +106,12 @@ def test_aux_requirement_enforced():
         sweep(state, aux, make_kernel("acoustics-var"), CellWise(), Serial())
 
 
+def _sweep_error(state, aux, strategy, backend):
+    with pytest.raises(SweepError) as exc:
+        sweep(state, aux, make_kernel("euler"), strategy, backend)
+    return exc.value.direction, exc.value.i, exc.value.j
+
+
 @pytest.mark.parametrize("backend", [Serial(), StaticThreads(2)])
 def test_kernel_failure_reports_interface_coordinates(backend):
     spec, state = filled_gas_field(8, 6, seed=3)
@@ -115,6 +124,17 @@ def test_kernel_failure_reports_interface_coordinates(backend):
     assert exc.value.i == 4 and exc.value.j == 2
     assert "x-interface (i=4, j=2)" in str(exc.value)
 
+    # Tiled(4, 3) on 11x6 has 3x3 tiles; StaticThreads(2)'s second leaf starts
+    # at tile (2, 1), so its first rectangle starts at i=8, j=3.  Cell (5, 4)
+    # lies in tile column 1, cell (9, 4) in tile column 2; each must be reported
+    # at the interface CellWise reports.
+    for cell in ((5, 4), (9, 4)):
+        spec, state = filled_gas_field(11, 6, seed=3)
+        state.data[0, g + cell[0], g + cell[1]] = -1.0
+        aux = AuxField(spec)
+        assert (_sweep_error(state, aux, Tiled(4, 3), backend)
+                == _sweep_error(state, aux, CellWise(), backend))
+
 
 def test_single_write_checked_mode(monkeypatch):
     monkeypatch.setenv("WAVESWEEP_CHECKED", "1")
@@ -123,6 +143,60 @@ def test_single_write_checked_mode(monkeypatch):
     for strategy in (RowWise(), CellWise(), Tiled(4, 3)):
         for backend in (Serial(), StaticThreads(3), WorkStealing(2, 1)):
             sweep(state, aux, make_kernel("euler"), strategy, backend)
+
+
+class _CallCounts:
+    """A Kernel whose solve calls are counted in total and per parallel leaf."""
+
+    def __init__(self, kernel: Kernel):
+        self.total = 0
+        self.per_leaf: list[int] = []
+        self._lock = threading.Lock()
+        self._local = threading.local()
+
+        def solve(*args):
+            with self._lock:
+                self.total += 1
+            self._local.calls = getattr(self._local, "calls", 0) + 1
+            return kernel.solve(*args)
+
+        self.kernel = Kernel(kernel.descriptor, kernel.params, solve)
+
+    def counting_for_each_unit(self, units, backend, body, **kwargs):
+        def leaf(a, b):
+            self._local.calls = 0
+            result = body(a, b)
+            with self._lock:
+                self.per_leaf.append(self._local.calls)
+            return result
+
+        return for_each_unit(units, backend, leaf, **kwargs)
+
+
+def test_tiled_serial_makes_cellwise_call_count():
+    spec, state = filled_gas_field(128, 128, seed=9)
+    aux = AuxField(spec)
+    calls = {}
+    for strategy in (CellWise(), Tiled(32, 32)):
+        counts = _CallCounts(make_kernel("euler"))
+        sweep(state, aux, counts.kernel, strategy, Serial())
+        calls[strategy] = counts.total
+    assert calls[Tiled(32, 32)] == calls[CellWise()]
+
+
+@pytest.mark.parametrize("backend", [WorkStealing(2, 1), WorkStealing(2), StaticThreads(2)])
+def test_tiled_leaf_coalesces_tiles(monkeypatch, backend):
+    # 17x17 tiles of 8x8: every rectangle a leaf covers is below _MAX_BLOCK, so
+    # a leaf's at most three rectangles take at most six kernel calls
+    spec, state = filled_gas_field(128, 128, seed=10)
+    aux = AuxField(spec)
+    counts = _CallCounts(make_kernel("euler"))
+    # the package re-exports the function sweep under the submodule's name
+    monkeypatch.setattr(importlib.import_module("wavesweep.sweep"), "for_each_unit",
+                        counts.counting_for_each_unit)
+    sweep(state, aux, counts.kernel, Tiled(8, 8), backend)
+    assert counts.per_leaf and max(counts.per_leaf) <= 6
+    assert sum(counts.per_leaf) == counts.total
 
 
 class TestApplyUpdate:
