@@ -7,7 +7,7 @@ from .kernels import (DESCRIPTORS, KERNEL_NAMES, AcousticsParams, Direction,
                       EulerParams, Kernel, KernelDescriptor, KernelError,
                       RiemannResult, euler_flux, make_kernel, rp_acoustics_const,
                       rp_acoustics_var, rp_advection, rp_euler)
-from .parallel import (Backend, ParallelError, Range2D, Serial, StaticThreads,
+from .parallel import (Backend, ParallelError, Serial, StaticThreads,
                        WorkStealing, default_thread_count, detect_cores,
                        for_each_unit)
 from .sweep import (CellWise, RowWise, Strategy, SweepError, SweepStats, Tiled,

@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--threads", type=int, default=None,
                        help="thread count for threaded backends")
     run_p.add_argument("--grain", type=int, default=None,
-                       help="work-stealing leaf size in units (default: auto)")
+                       help="workstealing leaf size in units (default: auto)")
     run_p.add_argument("--cfl", type=float, default=0.9)
 
     bench_p = sub.add_parser("bench", help="time the kernel/grid/strategy/backend matrix")
@@ -166,6 +166,8 @@ def parse_args(argv) -> BenchConfig | RunConfig | VerifyConfig:
             parser.error(f"--threads must be >= 1, got {threads}")
         if args.grain is not None and args.grain < 1:
             parser.error(f"--grain must be >= 1, got {args.grain}")
+        if args.grain is not None and args.backend != "workstealing":
+            parser.error(f"--grain applies only to --backend workstealing, not {args.backend}")
         backend = make_backend(args.backend, threads, args.grain)
         if not 0.0 < args.cfl < 1.0:
             parser.error(f"--cfl must lie in (0, 1), got {args.cfl}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -73,24 +73,19 @@ class RiemannResult:
 
 @dataclass(frozen=True)
 class KernelDescriptor:
-    """Static metadata for one kernel family.
-
-    arithmetic_intensity is the hand-counted flops/byte figure carried as
-    metadata only; it is not a measured property of this implementation.
-    """
+    """Static metadata for one kernel family."""
 
     name: str
     num_eqn: int
     num_waves: int
     num_aux: int
-    arithmetic_intensity: Fraction
 
 
 DESCRIPTORS: dict[str, KernelDescriptor] = {
-    "advection": KernelDescriptor("advection", 1, 1, 0, Fraction(1, 3)),
-    "acoustics-const": KernelDescriptor("acoustics-const", 3, 2, 0, Fraction(4, 5)),
-    "acoustics-var": KernelDescriptor("acoustics-var", 3, 2, 2, Fraction(1)),
-    "euler": KernelDescriptor("euler", 4, 3, 0, Fraction(1)),
+    "advection": KernelDescriptor("advection", 1, 1, 0),
+    "acoustics-const": KernelDescriptor("acoustics-const", 3, 2, 0),
+    "acoustics-var": KernelDescriptor("acoustics-var", 3, 2, 2),
+    "euler": KernelDescriptor("euler", 4, 3, 0),
 }
 
 KERNEL_NAMES = tuple(DESCRIPTORS)
@@ -130,9 +125,25 @@ class EulerParams:
 
 
 def _first_bad(mask: np.ndarray) -> tuple:
-    """Batch multi-index of the first True entry of a (ncomp,)+batch mask."""
-    idx = np.argwhere(mask)[0]
-    return tuple(int(k) for k in idx[1:])
+    """Batch multi-index of the first batch element flagged in a (ncomp,)+batch mask."""
+    idx = np.argwhere(mask.any(axis=0))[0]
+    return tuple(int(k) for k in idx)
+
+
+def _raise_first_bad(message: str, **sides: np.ndarray):
+    """Raise KernelError at the lowest batch element flagged on any side.
+
+    `sides` maps a side name to its (ncomp,)+batch mask; the first side flagged
+    at that element is named, filling the {side} field of `message`.  Taking
+    the lowest element over all sides at once makes the reported interface
+    independent of where a sweep cuts its batches.
+    """
+    bad = reduce(np.logical_or, sides.values())
+    if bad.any():
+        element = _first_bad(bad)
+        side = next(name for name, mask in sides.items()
+                    if mask[(slice(None),) + element].any())
+        raise KernelError(message.format(side=side), side=side, element=element)
 
 
 def _check_states(ql: np.ndarray, qr: np.ndarray, num_eqn: int) -> tuple[np.ndarray, np.ndarray]:
@@ -142,18 +153,14 @@ def _check_states(ql: np.ndarray, qr: np.ndarray, num_eqn: int) -> tuple[np.ndar
         raise ValueError(
             f"states must share a ({num_eqn}, ...) shape, got {ql.shape} and {qr.shape}"
         )
-    for side, q in (("left", ql), ("right", qr)):
-        bad = ~np.isfinite(q)
-        if bad.any():
-            raise KernelError(f"non-finite {side} state", side=side, element=_first_bad(bad))
+    _raise_first_bad("non-finite {side} state", left=~np.isfinite(ql), right=~np.isfinite(qr))
     return ql, qr
 
 
-def _check_positive(arr: np.ndarray, what: str, side: str):
-    bad = ~(arr > ADMISSIBILITY_FLOOR)
-    if bad.any():
-        element = _first_bad(bad[np.newaxis])
-        raise KernelError(f"nonpositive {what} on {side} side", side=side, element=element)
+def _check_positive(what: str, **sides: np.ndarray):
+    """Raise at the lowest batch element where any side's `what` is not positive."""
+    masks = {name: ~(arr > ADMISSIBILITY_FLOOR)[np.newaxis] for name, arr in sides.items()}
+    _raise_first_bad(f"nonpositive {what} on {{side}} side", **masks)
 
 
 def _normal_slot(direction: Direction) -> int:
@@ -232,9 +239,8 @@ def rp_acoustics_var(direction: Direction, ql, qr, auxl, auxr) -> RiemannResult:
             f"aux must have shape (2, ...) matching the states, got {auxl.shape}, {auxr.shape}"
         )
     ni = _normal_slot(direction)
-    for side, aux in (("left", auxl), ("right", auxr)):
-        _check_positive(aux[0], "density", side)
-        _check_positive(aux[1], "sound speed", side)
+    _check_positive("density", left=auxl[0], right=auxr[0])
+    _check_positive("sound speed", left=auxl[1], right=auxr[1])
 
     zl = auxl[0] * auxl[1]
     zr = auxr[0] * auxr[1]
@@ -277,14 +283,12 @@ def rp_euler(direction: Direction, ql, qr, params: EulerParams) -> RiemannResult
     ti = 3 - ni
 
     rho_l, rho_r = ql[0], qr[0]
-    _check_positive(rho_l, "density", "left")
-    _check_positive(rho_r, "density", "right")
+    _check_positive("density", left=rho_l, right=rho_r)
     u_l, u_r = ql[ni] / rho_l, qr[ni] / rho_r
     v_l, v_r = ql[ti] / rho_l, qr[ti] / rho_r
     p_l = (gamma - 1.0) * (ql[3] - 0.5 * rho_l * (u_l * u_l + v_l * v_l))
     p_r = (gamma - 1.0) * (qr[3] - 0.5 * rho_r * (u_r * u_r + v_r * v_r))
-    _check_positive(p_l, "pressure", "left")
-    _check_positive(p_r, "pressure", "right")
+    _check_positive("pressure", left=p_l, right=p_r)
 
     sq_l = np.sqrt(rho_l)
     sq_r = np.sqrt(rho_r)
@@ -349,19 +353,17 @@ def euler_flux(q, direction: Direction, params: EulerParams) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.ndim < 1 or q.shape[0] != 4:
         raise ValueError(f"gas state must have 4 components, got shape {q.shape}")
-    bad = ~np.isfinite(q)
-    if bad.any():
-        raise KernelError("non-finite state", element=_first_bad(bad))
+    _raise_first_bad("non-finite {side} state", input=~np.isfinite(q))
     gamma = params.gamma
     ni = _normal_slot(direction)
     ti = 3 - ni
 
     rho = q[0]
-    _check_positive(rho, "density", "input")
+    _check_positive("density", input=rho)
     un = q[ni] / rho
     kin = 0.5 * (q[ni] * q[ni] + q[ti] * q[ti]) / rho
     p = (gamma - 1.0) * (q[3] - kin)
-    _check_positive(p, "pressure", "input")
+    _check_positive("pressure", input=p)
 
     out = np.empty_like(q)
     out[0] = q[ni]

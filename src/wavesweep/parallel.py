@@ -1,4 +1,4 @@
-"""Execution backends: serial, statically partitioned threads, work stealing.
+"""Execution backends: serial, statically partitioned threads, dynamic leaves.
 
 The contract every backend honors: the unit index space [0, n) is covered by
 calls ``body(start, stop)`` over disjoint half-open ranges, each unit exactly
@@ -6,6 +6,12 @@ once.  Bodies may write only to locations owned by their units and read only
 shared immutable inputs, so any interleaving yields identical memory contents.
 Per-call return values are folded with an associative, commutative `combine`
 into a single accumulator on the calling thread.
+
+There is one scheduler.  A backend only fixes a thread count and a grain; the
+units are cut into fixed leaves of `grain` units, which are handed out in
+ascending order, never split and never stolen.  When a leaf fails, no further
+leaf is started, and the failure of the lowest failing leaf is the one raised,
+whatever the backend.
 
 Threads carry their weight here because the bodies are numpy-vectorized: the
 interpreter lock is released inside array arithmetic, which is where nearly
@@ -17,14 +23,11 @@ from __future__ import annotations
 
 import os
 import threading
-import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 
 THREAD_COUNT_ENV = "WAVESWEEP_NUM_THREADS"
-
-_EMPTY = object()  # sentinel: worker produced no local value yet
 
 
 class ParallelError(RuntimeError):
@@ -38,12 +41,15 @@ class ParallelError(RuntimeError):
 
 @dataclass(frozen=True)
 class Serial:
-    """Run everything on the calling thread, units in ascending order."""
+    """One leaf holding every unit, run on the calling thread."""
+
+    def threads_and_grain(self, n_units: int) -> tuple[int, int]:
+        return 1, n_units
 
 
 @dataclass(frozen=True)
 class StaticThreads:
-    """Fixed partition: units split into n contiguous blocks of ceil(U/n)."""
+    """n threads over n contiguous leaves of ceil(U/n) units, one per worker."""
 
     n: int
 
@@ -51,14 +57,19 @@ class StaticThreads:
         if self.n < 1:
             raise ValueError(f"thread count must be >= 1, got {self.n}")
 
+    def threads_and_grain(self, n_units: int) -> tuple[int, int]:
+        return self.n, -(-n_units // self.n)
+
 
 @dataclass(frozen=True)
 class WorkStealing:
-    """Recursive range splitting down to `grain` units; idle workers steal.
+    """n threads over leaves of `grain` units, taken by whichever worker is free.
 
-    grain=None picks a leaf size of roughly n_units / (8 n) per call, which
-    keeps splitting overhead negligible while leaving each worker several
-    pieces to give away; an explicit grain is honored exactly.
+    grain=None picks about n_units / (8 n) units per leaf, which keeps the
+    per-leaf overhead negligible while leaving each worker several leaves to
+    balance the load with; an explicit grain is honored exactly.  The name is
+    kept for the command line: idle workers take the next leaf in ascending
+    order rather than steal from one another.
     """
 
     n: int
@@ -70,40 +81,11 @@ class WorkStealing:
         if self.grain is not None and self.grain < 1:
             raise ValueError(f"grain must be >= 1, got {self.grain}")
 
+    def threads_and_grain(self, n_units: int) -> tuple[int, int]:
+        return self.n, self.grain or -(-n_units // (8 * self.n))
+
 
 Backend = Serial | StaticThreads | WorkStealing
-
-
-@dataclass(frozen=True)
-class Range2D:
-    """Half-open 2D index range, linearized row-major for unit bookkeeping."""
-
-    i0: int
-    i1: int
-    j0: int
-    j1: int
-
-    def __post_init__(self):
-        if self.i0 > self.i1 or self.j0 > self.j1:
-            raise ValueError(f"bounds must be ordered, got {self}")
-
-    @property
-    def ni(self) -> int:
-        return self.i1 - self.i0
-
-    @property
-    def nj(self) -> int:
-        return self.j1 - self.j0
-
-    @property
-    def area(self) -> int:
-        return self.ni * self.nj
-
-    def unravel(self, flat: int) -> tuple[int, int]:
-        """(i, j) of linear unit index `flat` (i varies fastest)."""
-        if not 0 <= flat < self.area:
-            raise IndexError(f"unit {flat} outside [0, {self.area})")
-        return self.i0 + flat % self.ni, self.j0 + flat // self.ni
 
 
 def detect_cores() -> int:
@@ -138,159 +120,67 @@ def _get_pool(n: int) -> ThreadPoolExecutor:
         return pool
 
 
-def static_blocks(n_units: int, n_threads: int) -> list[tuple[int, int]]:
-    """Ceiling-block partition of [0, n_units) into at most n_threads ranges."""
-    if n_units == 0:
-        return []
-    chunk = -(-n_units // n_threads)
-    blocks = []
-    for k in range(n_threads):
-        a = k * chunk
-        b = min(a + chunk, n_units)
-        if a >= b:
-            break
-        blocks.append((a, b))
-    return blocks
-
-
-def _fold(acc, value, combine):
-    if value is _EMPTY:
-        return acc
-    return combine(acc, value) if combine is not None else None
-
-
-def _run_range(a: int, b: int, body, combine, local):
-    """Execute one leaf range, folding into the worker-local accumulator."""
-    try:
-        r = body(a, b)
-    except BaseException as exc:
-        raise ParallelError(a, b, exc) from exc
-    if combine is None:
-        return local
-    return r if local is _EMPTY else combine(local, r)
-
-
-def _run_static(n_units, n_threads, body, combine, initial):
-    blocks = static_blocks(n_units, n_threads)
-    if len(blocks) <= 1:
-        acc = initial
-        for a, b in blocks:
-            acc = _fold(acc, _run_range(a, b, body, combine, _EMPTY), combine)
-        return acc
-    pool = _get_pool(n_threads)
-    futures = [pool.submit(_run_range, a, b, body, combine, _EMPTY) for a, b in blocks]
-    acc = initial
-    error = None
-    for fut in futures:
-        try:
-            acc = _fold(acc, fut.result(), combine)
-        except ParallelError as exc:
-            error = error or exc
-    if error is not None:
-        raise error
-    return acc
-
-
-def _split_to_grain(a: int, b: int, grain: int, backlog):
-    """Peel halves off [a, b) into `backlog` until it is at most `grain` wide."""
-    while b - a > grain:
-        mid = (a + b) // 2
-        backlog.append((mid, b))
-        b = mid
-    return a, b
-
-
-def _run_stealing(n_units, n_threads, grain, body, combine, initial):
-    if n_units == 0:
-        return initial
-    if grain is None:
-        grain = max(1, -(-n_units // (8 * n_threads)))
-
-    if n_threads == 1:
-        own = deque()
-        own.extend(reversed(static_blocks(n_units, 1)))
-        local = _EMPTY
-        while own:
-            a, b = _split_to_grain(*own.pop(), grain, own)
-            local = _run_range(a, b, body, combine, local)
-        return _fold(initial, local, combine)
-
-    queues = [deque() for _ in range(n_threads)]
-    for w, (a, b) in enumerate(static_blocks(n_units, n_threads)):
-        queues[w].append((a, b))
-    lock = threading.Lock()
-    state = {"remaining": n_units, "error": None}
-
-    def worker(w: int):
-        own = queues[w]
-        local = _EMPTY
-        misses = 0
-        while True:
-            with lock:
-                if state["remaining"] == 0 or state["error"] is not None:
-                    return local
-            task = None
-            try:
-                task = own.pop()  # newest own work: cache-warm, large splits stay stealable
-            except IndexError:
-                for off in range(1, n_threads):
-                    try:
-                        task = queues[(w + off) % n_threads].popleft()  # steal oldest = biggest
-                        break
-                    except IndexError:
-                        continue
-            if task is None:
-                # nothing to steal right now: back off so idle workers do not
-                # contend for the interpreter lock with the ones computing
-                misses += 1
-                time.sleep(0 if misses < 3 else min(1e-3, 1e-5 * (1 << min(misses, 10))))
-                continue
-            misses = 0
-            a, b = _split_to_grain(*task, grain, own)
-            try:
-                local = _run_range(a, b, body, combine, local)
-            except ParallelError as exc:
-                with lock:
-                    if state["error"] is None:
-                        state["error"] = exc
-                return local
-            with lock:
-                state["remaining"] -= b - a
-
-    pool = _get_pool(n_threads)
-    futures = [pool.submit(worker, w) for w in range(n_threads)]
-    acc = initial
-    for fut in futures:
-        acc = _fold(acc, fut.result(), combine)
-    if state["error"] is not None:
-        raise state["error"]
-    return acc
-
-
-def for_each_unit(units, backend: Backend, body, *, combine=None, initial=None):
+def for_each_unit(units: int, backend: Backend, body, *, combine=None, initial=None):
     """Invoke ``body(start, stop)`` over ranges covering every unit exactly once.
 
-    `units` is a unit count or a Range2D (its area is the unit count; bodies
-    can map flat indices back with Range2D.unravel).  Serial visits [0, n) in
-    one ascending range; StaticThreads(n) issues the ceiling-block partition,
-    one block per worker; WorkStealing(n, grain) splits ranges in half until
-    they are at most `grain` units wide and lets idle workers steal.
+    The backend fixes a thread count and a grain, and the units are cut into
+    the leaves [k*grain, min((k+1)*grain, units)): Serial makes one leaf,
+    StaticThreads(n) the ceiling-block partition into at most n leaves, and
+    WorkStealing(n, grain) leaves of `grain` units.  With one thread or one
+    leaf, the leaves run in ascending order on the caller; otherwise up to
+    `threads` pool workers each take the next leaf from one shared counter.
 
-    Returns initial folded with all body return values under `combine`
-    (associative and commutative), or None when combine is None.  A body
-    exception aborts the call and is re-raised as ParallelError naming the
-    failing unit range.
+    Returns initial folded with the body return values, in ascending leaf
+    order, under `combine` (associative and commutative), or initial when
+    combine is None.  A body exception stops the handing out of leaves and is
+    re-raised as ParallelError naming the lowest failing leaf: every leaf below
+    it was handed out first and has run to completion, so the choice does not
+    depend on timing.
     """
-    n_units = units.area if isinstance(units, Range2D) else int(units)
+    n_units = int(units)
     if n_units < 0:
         raise ValueError(f"unit count must be >= 0, got {n_units}")
+    if not isinstance(backend, Backend):
+        raise TypeError(f"unknown backend {backend!r}")
+    threads, grain = backend.threads_and_grain(n_units)
+    grain = max(1, grain)
+    n_leaves = -(-n_units // grain)
+    results = [None] * n_leaves
 
-    if isinstance(backend, Serial):
-        if n_units == 0:
-            return initial
-        return _fold(initial, _run_range(0, n_units, body, combine, _EMPTY), combine)
-    if isinstance(backend, StaticThreads):
-        return _run_static(n_units, backend.n, body, combine, initial)
-    if isinstance(backend, WorkStealing):
-        return _run_stealing(n_units, backend.n, backend.grain, body, combine, initial)
-    raise TypeError(f"unknown backend {backend!r}")
+    def run_leaf(k: int):
+        a = k * grain
+        b = min(a + grain, n_units)
+        try:
+            results[k] = body(a, b)
+        except BaseException as exc:
+            raise ParallelError(a, b, exc) from exc
+
+    workers = min(threads, n_leaves)
+    if workers <= 1:
+        for k in range(n_leaves):
+            run_leaf(k)
+    else:
+        lock = threading.Lock()
+        handed_out = 0
+        failures: list[ParallelError] = []
+
+        def worker():
+            nonlocal handed_out
+            while True:
+                with lock:
+                    if failures or handed_out == n_leaves:
+                        return
+                    k = handed_out
+                    handed_out += 1
+                try:
+                    run_leaf(k)
+                except ParallelError as exc:
+                    with lock:
+                        failures.append(exc)
+
+        pool = _get_pool(threads)
+        for fut in [pool.submit(worker) for _ in range(workers)]:
+            fut.result()
+        if failures:
+            raise min(failures, key=lambda exc: exc.unit_start)
+    return initial if combine is None else reduce(combine, results, initial)

@@ -7,12 +7,12 @@ interface solves write disjoint interface slots, the update writes disjoint
 cells, and neither reads anything another parallel unit writes.
 
 Three traversal strategies produce bitwise-identical fluctuation fields and
-differ only in iteration order and partitioning: RowWise makes one pass per
-direction, while CellWise and Tiled share one banded body that solves both
-directions over runs of tiles.  CellWise is the tiling by whole interface rows;
-Tiled's tile_w x tile_h tiles set the unit of work distribution, and each run
-of tiles a worker takes is coalesced into at most three rectangles, each
-solved in kernel calls of up to _MAX_BLOCK interfaces.
+differ only in partitioning, because all three run one banded body.  Tiled's
+tile_w x tile_h tiles set the unit of work distribution; CellWise and RowWise
+are presets of it, the tiling by whole interface rows ((nx+1) x 1), kept as
+names for the command line and the CSV.  Each run of tiles a worker takes is
+coalesced into at most three rectangles, and each rectangle is solved x before
+y, in kernel calls of up to _MAX_BLOCK interfaces.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ from .grid import AuxField, FluctuationField, StateField
 from .kernels import Direction, Kernel, KernelError
 from .parallel import Backend, ParallelError, Serial, for_each_unit
 
-# interfaces per kernel call; CellWise and Tiled coalesce a leaf's tiles into
-# calls of up to this size.  Not a cache size: one 32k-interface Euler call
-# peaks near 57 temporary planes (~14 MiB, past a 4 MiB L2).  The cap trades
-# the size of those temporaries against interpreter-lock hand-offs between
-# calls; at 8k or 4k, 2-thread Euler and advection steps ran 25-87% slower on
-# a 2-core host.  Chunking never changes a computed value.
+# interfaces per kernel call; a leaf's tiles are coalesced into calls of up to
+# this size.  Not a cache size: one 32k-interface Euler call peaks near 57
+# temporary planes (~14 MiB, past a 4 MiB L2).  The cap trades the size of
+# those temporaries against interpreter-lock hand-offs between calls; at 8k or
+# 4k, 2-thread Euler and advection steps ran 25-87% slower on a 2-core host.
+# Chunking never changes a computed value.
 _MAX_BLOCK = 1 << 15
 
 # opt-in sweep self-check: count writes per interface slot, assert exactly one
@@ -41,17 +41,21 @@ CHECKED_ENV = "WAVESWEEP_CHECKED"
 
 @dataclass(frozen=True)
 class RowWise:
-    """Solve all x-interfaces row by row, then all y-interfaces."""
+    """Preset of the banded body, the same as CellWise: whole interface rows.
+
+    Serially this solves all x-interfaces, then all y-interfaces, as its name
+    says; on threads each leaf of rows does both directions, in one region.
+    """
 
 
 @dataclass(frozen=True)
 class CellWise:
-    """One pass: each row solves its x-interfaces and y-interfaces together."""
+    """Preset of the banded body: tiles of one whole interface row, (nx+1) x 1."""
 
 
 @dataclass(frozen=True)
 class Tiled:
-    """Both directions over tile_w x tile_h tiles, the unit of work distribution."""
+    """The banded body over tile_w x tile_h tiles, the unit of work distribution."""
 
     tile_w: int = 64
     tile_h: int = 64
@@ -114,58 +118,35 @@ class _SweepContext:
         self.fluct = fluct
         self.counter = counter
 
-    def solve_x(self, ia: int, ib: int, ja: int, jb: int) -> float:
-        """Solve x-interfaces i in [ia, ib), interior rows j in [ja, jb)."""
-        if ia >= ib or ja >= jb:
-            return 0.0
-        g = self.spec.num_ghost
-        width = ib - ia
-        step = max(1, _MAX_BLOCK // width)
-        top = 0.0
-        for a in range(ja, jb, step):
-            b = min(a + step, jb)
-            ql = self.q[:, g + ia - 1 : g + ib - 1, g + a : g + b]
-            qr = self.q[:, g + ia : g + ib, g + a : g + b]
-            auxl = auxr = None
-            if self.aux is not None:
-                auxl = self.aux[:, g + ia - 1 : g + ib - 1, g + a : g + b]
-                auxr = self.aux[:, g + ia : g + ib, g + a : g + b]
-            try:
-                res = self.kernel.solve(Direction.X, ql, qr, auxl, auxr)
-            except KernelError as err:
-                raise _locate(Direction.X, err, ia, a) from err
-            self.fluct.x_minus[:, ia:ib, a:b] = res.amdq
-            self.fluct.x_plus[:, ia:ib, a:b] = res.apdq
-            if self.counter is not None:
-                self.counter.record(self.counter.x, ia, ib, a, b)
-            top = max(top, float(np.abs(res.speeds).max()))
-            del res  # free this block's result before the next block allocates its own
-        return top
+    def solve(self, d: Direction, ia: int, ib: int, ja: int, jb: int) -> float:
+        """Solve d-interfaces (i, j) for i in [ia, ib), j in [ja, jb).
 
-    def solve_y(self, ia: int, ib: int, ja: int, jb: int) -> float:
-        """Solve y-interfaces i in [ia, ib), interface rows j in [ja, jb)."""
+        Interface (i, j) lies between cell (i, j) and its lower neighbour
+        along d; blocks of whole i-ranges keep each call under _MAX_BLOCK.
+        """
         if ia >= ib or ja >= jb:
             return 0.0
         g = self.spec.num_ghost
-        width = ib - ia
-        step = max(1, _MAX_BLOCK // width)
+        di, dj = (1, 0) if d is Direction.X else (0, 1)
+        minus = getattr(self.fluct, f"{d.value}_minus")
+        plus = getattr(self.fluct, f"{d.value}_plus")
+        step = max(1, _MAX_BLOCK // (ib - ia))
         top = 0.0
         for a in range(ja, jb, step):
             b = min(a + step, jb)
-            ql = self.q[:, g + ia : g + ib, g + a - 1 : g + b - 1]
-            qr = self.q[:, g + ia : g + ib, g + a : g + b]
+            left = (slice(None), slice(g + ia - di, g + ib - di), slice(g + a - dj, g + b - dj))
+            right = (slice(None), slice(g + ia, g + ib), slice(g + a, g + b))
             auxl = auxr = None
             if self.aux is not None:
-                auxl = self.aux[:, g + ia : g + ib, g + a - 1 : g + b - 1]
-                auxr = self.aux[:, g + ia : g + ib, g + a : g + b]
+                auxl, auxr = self.aux[left], self.aux[right]
             try:
-                res = self.kernel.solve(Direction.Y, ql, qr, auxl, auxr)
+                res = self.kernel.solve(d, self.q[left], self.q[right], auxl, auxr)
             except KernelError as err:
-                raise _locate(Direction.Y, err, ia, a) from err
-            self.fluct.y_minus[:, ia:ib, a:b] = res.amdq
-            self.fluct.y_plus[:, ia:ib, a:b] = res.apdq
+                raise _locate(d, err, ia, a) from err
+            minus[:, ia:ib, a:b] = res.amdq
+            plus[:, ia:ib, a:b] = res.apdq
             if self.counter is not None:
-                self.counter.record(self.counter.y, ia, ib, a, b)
+                self.counter.record(getattr(self.counter, d.value), ia, ib, a, b)
             top = max(top, float(np.abs(res.speeds).max()))
             del res  # free this block's result before the next block allocates its own
         return top
@@ -222,39 +203,30 @@ def sweep(state: StateField, aux: AuxField | None, kernel: Kernel,
         )
 
     nx, ny = spec.nx, spec.ny
-    if isinstance(strategy, CellWise):
+    if isinstance(strategy, (RowWise, CellWise)):
         tile_w, tile_h = nx + 1, 1
     elif isinstance(strategy, Tiled):
         tile_w, tile_h = strategy.tile_w, strategy.tile_h
-    elif not isinstance(strategy, RowWise):
+    else:
         raise TypeError(f"unknown traversal strategy {strategy!r}")
     fluct = FluctuationField(spec, zeroed=False)
     counter = _WriteCounter(nx, ny) if _checked() else None
     ctx = _SweepContext(state, aux, kernel, fluct, counter)
+    tiles_i = -(-(nx + 1) // tile_w)
+    tiles_j = -(-(ny + 1) // tile_h)
+
+    def tile_run(t0, t1):
+        sx = sy = 0.0
+        for ti0, ti1, tj0, tj1 in _tile_rects(t0, t1, tiles_i):
+            ia, ib = ti0 * tile_w, min(ti1 * tile_w, nx + 1)
+            ja, jb = tj0 * tile_h, min(tj1 * tile_h, ny + 1)
+            sx = max(sx, ctx.solve(Direction.X, ia, ib, ja, min(jb, ny)))
+            sy = max(sy, ctx.solve(Direction.Y, ia, min(ib, nx), ja, jb))
+        return sx, sy
 
     try:
-        if isinstance(strategy, RowWise):
-            max_sx = for_each_unit(
-                ny, backend, lambda a, b: ctx.solve_x(0, nx + 1, a, b),
-                combine=max, initial=0.0)
-            max_sy = for_each_unit(
-                ny + 1, backend, lambda a, b: ctx.solve_y(0, nx, a, b),
-                combine=max, initial=0.0)
-        else:
-            tiles_i = -(-(nx + 1) // tile_w)
-            tiles_j = -(-(ny + 1) // tile_h)
-
-            def tile_run(t0, t1):
-                sx = sy = 0.0
-                for ti0, ti1, tj0, tj1 in _tile_rects(t0, t1, tiles_i):
-                    ia, ib = ti0 * tile_w, min(ti1 * tile_w, nx + 1)
-                    ja, jb = tj0 * tile_h, min(tj1 * tile_h, ny + 1)
-                    sx = max(sx, ctx.solve_x(ia, ib, ja, min(jb, ny)))
-                    sy = max(sy, ctx.solve_y(ia, min(ib, nx), ja, jb))
-                return sx, sy
-
-            max_sx, max_sy = for_each_unit(
-                tiles_i * tiles_j, backend, tile_run, combine=_pair_max, initial=(0.0, 0.0))
+        max_sx, max_sy = for_each_unit(
+            tiles_i * tiles_j, backend, tile_run, combine=_pair_max, initial=(0.0, 0.0))
     except ParallelError as exc:
         # surface the precise interface location when the body pinpointed one
         if isinstance(exc.__cause__, SweepError):

@@ -92,6 +92,13 @@ class TestParseRun:
         assert exc.value.code == 2
         assert "advection-gaussian" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("backend", ["serial", "static"])
+    def test_grain_without_workstealing_exits_2(self, backend, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["run", "--backend", backend, "--threads", "2", "--grain", "5"])
+        assert exc.value.code == 2
+        assert "--grain" in capsys.readouterr().err
+
 
 def test_parse_verify():
     cfg = parse_args(["verify", "--seed", "42"])

@@ -1,13 +1,14 @@
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavesweep.parallel import (ParallelError, Range2D, Serial, StaticThreads,
+from wavesweep.parallel import (ParallelError, Serial, StaticThreads,
                                 THREAD_COUNT_ENV, WorkStealing,
                                 default_thread_count, detect_cores,
-                                for_each_unit, static_blocks)
+                                for_each_unit)
 
 
 def collect_ranges(units, backend):
@@ -29,10 +30,6 @@ def assert_partition(ranges, n):
     assert flat == list(range(n))
 
 
-def test_static_block_example():
-    assert static_blocks(10, 3) == [(0, 4), (4, 8), (8, 10)]
-
-
 def test_serial_is_one_ascending_range():
     assert collect_ranges(7, Serial()) == [(0, 7)]
 
@@ -44,13 +41,29 @@ def test_static_partition_is_observable():
 
 @settings(deadline=None, max_examples=80)
 @given(n=st.integers(0, 200), workers=st.integers(1, 6), grain=st.integers(1, 50),
-       kind=st.sampled_from(["serial", "static", "stealing"]))
-def test_every_unit_covered_exactly_once(n, workers, grain, kind):
+       kind=st.sampled_from(["serial", "static", "stealing"]), data=st.data())
+def test_every_unit_covered_exactly_once(n, workers, grain, kind, data):
     backend = {"serial": Serial(),
                "static": StaticThreads(workers),
                "stealing": WorkStealing(workers, grain)}[kind]
     ranges = collect_ranges(n, backend)
     assert_partition(ranges, n)
+
+    assert for_each_unit(n, backend, lambda a, b: b - a,
+                         combine=lambda x, y: x + y, initial=0) == n
+    assert for_each_unit(n, backend, lambda a, b: b - 1, combine=max, initial=-1) == n - 1
+
+    if n:
+        failing = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+
+        def body(a, b):
+            time.sleep(1e-4)  # let the other workers run meanwhile
+            if any(a <= k < b for k in failing):
+                raise RuntimeError("boom")
+
+        with pytest.raises(ParallelError) as exc:
+            for_each_unit(n, backend, body)
+        assert exc.value.unit_start <= min(failing) < exc.value.unit_stop
 
 
 def test_work_stealing_auto_grain_covers_everything():
@@ -94,17 +107,24 @@ def test_merged_max_independent_of_backend(backend):
     assert out == max(values)
 
 
-@pytest.mark.parametrize("backend", [Serial(), StaticThreads(4), WorkStealing(4, 3)])
+@pytest.mark.parametrize("backend", [Serial(), StaticThreads(4), WorkStealing(4, 3),
+                                     WorkStealing(2, 1)])
 def test_body_failure_identifies_unit(backend):
+    # units 3 and 26 both fail; the lower one is reported on every run, also
+    # when the bodies take long enough for the workers to interleave
     def body(a, b):
-        if a <= 13 < b:
-            raise RuntimeError("boom at 13")
+        time.sleep(1e-3)
+        if a <= 3 < b or a <= 26 < b:
+            raise RuntimeError("boom")
 
-    with pytest.raises(ParallelError) as exc:
-        for_each_unit(50, backend, body)
-    assert exc.value.unit_start <= 13 < exc.value.unit_stop
-    assert "boom" in str(exc.value)
-    assert isinstance(exc.value.__cause__, RuntimeError)
+    for _ in range(20):
+        with pytest.raises(ParallelError) as exc:
+            for_each_unit(50, backend, body)
+        assert exc.value.unit_start <= 3 < exc.value.unit_stop
+        assert "boom" in str(exc.value)
+        assert isinstance(exc.value.__cause__, RuntimeError)
+    if backend == WorkStealing(2, 1):
+        assert (exc.value.unit_start, exc.value.unit_stop) == (3, 4)
 
 
 def test_zero_units_returns_initial():
@@ -135,19 +155,3 @@ def test_backend_validation():
         WorkStealing(2, 0)
     with pytest.raises(ValueError):
         WorkStealing(0)
-
-
-def test_range2d():
-    r = Range2D(1, 4, 2, 4)
-    assert r.area == 6
-    assert r.unravel(0) == (1, 2)
-    assert r.unravel(5) == (3, 3)
-    with pytest.raises(IndexError):
-        r.unravel(6)
-    with pytest.raises(ValueError):
-        Range2D(3, 1, 0, 2)
-
-
-def test_range2d_as_unit_space():
-    ranges = collect_ranges(Range2D(0, 5, 0, 3), StaticThreads(2))
-    assert_partition(ranges, 15)

@@ -6,7 +6,7 @@ import pytest
 
 from wavesweep.grid import (AuxField, BoundaryCondition, GridSpec, StateField,
                             allocate_fields, fill_ghost)
-from wavesweep.kernels import Kernel, make_kernel
+from wavesweep.kernels import Direction, Kernel, make_kernel
 from wavesweep.oracles import random_gas_states
 from wavesweep.parallel import Serial, StaticThreads, WorkStealing, for_each_unit
 from wavesweep.sweep import (CellWise, RowWise, SweepError, Tiled, apply_update,
@@ -120,20 +120,22 @@ def test_kernel_failure_reports_interface_coordinates(backend):
     state.data[0, g + 3, g + 2] = -1.0  # poison interior cell (3, 2)
     with pytest.raises(SweepError) as exc:
         sweep(state, aux, make_kernel("euler"), CellWise(), backend)
-    # cell (3,2) is the left state of x-interface (4, 2)
-    assert exc.value.i == 4 and exc.value.j == 2
-    assert "x-interface (i=4, j=2)" in str(exc.value)
+    # cell (3,2) is the right state of x-interface (3, 2), the lowest it touches
+    assert exc.value.i == 3 and exc.value.j == 2
+    assert "x-interface (i=3, j=2)" in str(exc.value)
 
     # Tiled(4, 3) on 11x6 has 3x3 tiles; StaticThreads(2)'s second leaf starts
-    # at tile (2, 1), so its first rectangle starts at i=8, j=3.  Cell (5, 4)
-    # lies in tile column 1, cell (9, 4) in tile column 2; each must be reported
-    # at the interface CellWise reports.
-    for cell in ((5, 4), (9, 4)):
+    # at tile (2, 1), so its first rectangle starts at i=8, j=3.  Cells (5, 4)
+    # and (9, 4) lie in tile columns 1 and 2, (7, 4) and (3, 1) next to a tile
+    # edge.  A single bad cell (i, j) must be reported at x-interface (i, j)
+    # under every strategy and backend.
+    for cell in ((5, 4), (9, 4), (7, 4), (3, 1)):
         spec, state = filled_gas_field(11, 6, seed=3)
         state.data[0, g + cell[0], g + cell[1]] = -1.0
         aux = AuxField(spec)
-        assert (_sweep_error(state, aux, Tiled(4, 3), backend)
-                == _sweep_error(state, aux, CellWise(), backend))
+        for strategy in (RowWise(), CellWise(), Tiled(4, 3)):
+            for other in (Serial(), StaticThreads(2), WorkStealing(2, 1)):
+                assert _sweep_error(state, aux, strategy, other) == (Direction.X, *cell)
 
 
 def test_single_write_checked_mode(monkeypatch):
