@@ -44,9 +44,9 @@ class Direction(enum.Enum):
 class KernelError(ValueError):
     """Inadmissible or non-finite kernel input.
 
-    `side` is "left" or "right" (None for parameter problems); `element`
-    is the batch multi-index of the first offending interface, () for a
-    single-interface call.
+    `side` is "left", "right" or "input" (None for parameter problems);
+    `element` is the batch multi-index of the first offending interface, ()
+    for a single-interface call.
     """
 
     def __init__(self, message: str, side: str | None = None, element: tuple | None = None):

@@ -49,7 +49,7 @@ class Serial:
 
 @dataclass(frozen=True)
 class StaticThreads:
-    """n threads over n contiguous leaves of ceil(U/n) units, one per worker."""
+    """n threads over at most n contiguous leaves of ceil(U/n) units each."""
 
     n: int
 
