@@ -20,6 +20,9 @@ from .sweep import CellWise, RowWise, Tiled
 
 STRATEGY_NAMES = ("rowwise", "cellwise", "tiled")
 
+# the periodic ghost fill wraps num_ghost interior cells, so no side may be shorter
+_MIN_SIDE = GridSpec.num_ghost
+
 
 @dataclass
 class RunConfig:
@@ -102,8 +105,9 @@ def _parse_sizes(parser, text: str) -> tuple[tuple[int, int], ...]:
         except ValueError:
             parser.error(f"--sizes expects comma-separated NxM entries, got {item!r}")
     for nx, ny in sizes:
-        if nx < 1 or ny < 1:
-            parser.error(f"grid sizes must be >= 1, got {nx}x{ny}")
+        if nx < _MIN_SIDE or ny < _MIN_SIDE:
+            parser.error(f"grid sides must be >= {_MIN_SIDE} (the ghost frame), "
+                         f"got {nx}x{ny}")
     return tuple(sizes)
 
 
@@ -156,8 +160,9 @@ def parse_args(argv) -> BenchConfig | RunConfig | VerifyConfig:
         if IC_KERNEL[ic] != kernel:
             parser.error(f"--ic {ic} is for --kernel {IC_KERNEL[ic]}, not {kernel}")
         desc = DESCRIPTORS[kernel]
-        if args.nx < 1 or args.ny < 1:
-            parser.error(f"--nx/--ny must be >= 1, got {args.nx}, {args.ny}")
+        if args.nx < _MIN_SIDE or args.ny < _MIN_SIDE:
+            parser.error(f"--nx/--ny must be >= {_MIN_SIDE} (the ghost frame), "
+                         f"got {args.nx}, {args.ny}")
         spec = GridSpec(nx=args.nx, ny=args.ny, dx=1.0 / args.nx, dy=1.0 / args.ny,
                         num_eqn=desc.num_eqn, num_aux=desc.num_aux)
         tile = _parse_tile(parser, args.tile)

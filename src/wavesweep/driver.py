@@ -3,12 +3,14 @@ sweep / update loop, and built-in initial conditions for each kernel."""
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (AuxField, BoundaryCondition, GridSpec, StateField, fill_ghost)
+from .grid import (AuxField, BoundaryCondition, FluctuationField, GridSpec, StateField,
+                   fill_ghost)
 from .kernels import DESCRIPTORS, Kernel, make_kernel
 from .parallel import Backend, Serial
 from .sweep import CellWise, Strategy, apply_update, sweep
@@ -196,13 +198,28 @@ def resolve_kernel(config: SimulationConfig) -> Kernel:
     return make_kernel(config.kernel, **params)
 
 
+# one fluctuation field per stepping thread, reused by every step on a grid of
+# its spec: a sweep overwrites every slot and the update only reads them, so
+# the field carries nothing from one step to the next and never leaves step()
+_fluct_slot = threading.local()
+
+
+def _fluct_field(spec: GridSpec) -> FluctuationField:
+    fluct = getattr(_fluct_slot, "field", None)
+    if fluct is None or fluct.spec != spec:
+        fluct = _fluct_slot.field = FluctuationField(spec, zeroed=False)
+    return fluct
+
+
 def step(state: StateField, aux: AuxField | None, config: SimulationConfig,
          ctl: TimestepController, remaining: float | None = None
          ) -> tuple[StateField, StepReport]:
     """One ghost-fill / sweep / choose-dt / update cycle.
 
     The step size comes from this sweep's own max wave speeds, so the first
-    step needs no pre-pass.  Mutates and returns `state`.
+    step needs no pre-pass.  The fluctuations go into this thread's reused
+    field, so after its first step a step allocates nothing grid-sized.
+    Mutates and returns `state`.
     """
     kernel = resolve_kernel(config)
     spec = config.spec
@@ -212,7 +229,8 @@ def step(state: StateField, aux: AuxField | None, config: SimulationConfig,
         fill_ghost(aux, config.bc_x, config.bc_y)
 
     t0 = time.perf_counter()
-    fluct, stats = sweep(state, aux, kernel, config.strategy, config.backend)
+    fluct, stats = sweep(state, aux, kernel, config.strategy, config.backend,
+                         out=_fluct_field(state.spec))
     t1 = time.perf_counter()
     dt = choose_dt(stats.max_speed_x, stats.max_speed_y, spec.dx, spec.dy, ctl, remaining)
     apply_update(state, fluct, dt, backend=config.backend)

@@ -17,7 +17,9 @@ y, in kernel calls of up to _MAX_BLOCK interfaces.
 
 from __future__ import annotations
 
+import ctypes
 import os
+import platform
 import threading
 from dataclasses import dataclass
 
@@ -32,8 +34,39 @@ from .parallel import Backend, ParallelError, Serial, for_each_unit
 # temporary planes (~14 MiB, past a 4 MiB L2).  The cap trades the size of
 # those temporaries against interpreter-lock hand-offs between calls; at 8k or
 # 4k, 2-thread Euler and advection steps ran 25-87% slower on a 2-core host.
+# It also bounds the update's temporaries (apply_update walks rows in chunks
+# of at most this many cells), and it sets the malloc thresholds pinned below.
 # Chunking never changes a computed value.
 _MAX_BLOCK = 1 << 15
+
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _pin_malloc_thresholds():
+    """Keep one kernel call's temporaries on a warm heap, once per process.
+
+    By default glibc serves large arrays from fresh mmaps and trims freed heap
+    top, so every kernel call faults its temporaries in again; its adaptive
+    threshold only rises after a large free, which a step that reuses its
+    fluctuation field never makes.  4 MiB is above the largest array one call
+    creates at the _MAX_BLOCK cap (Euler's waves, 3 x 4 x 32768 x 8 B = 3 MiB);
+    32 MiB is above one Euler call's peak temporaries (about 14 MiB, measured
+    with tracemalloc), so a freed call's memory stays for the next call.
+    Larger arrays, such as big grids' fields, still come from mmap.
+    Other C libraries are left alone.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 32 << 20)
+
+
+_pin_malloc_thresholds()
 
 # opt-in sweep self-check: count writes per interface slot, assert exactly one
 CHECKED_ENV = "WAVESWEEP_CHECKED"
@@ -180,14 +213,16 @@ def _pair_max(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, fl
 
 
 def sweep(state: StateField, aux: AuxField | None, kernel: Kernel,
-          strategy: Strategy, backend: Backend) -> tuple[FluctuationField, SweepStats]:
+          strategy: Strategy, backend: Backend,
+          out: FluctuationField | None = None) -> tuple[FluctuationField, SweepStats]:
     """Solve every grid interface, returning fluctuations and exact max speeds.
 
     Requires ghost cells filled.  Every x-interface (i, j) holds the solution
     between cells (i-1, j) and (i, j); y likewise between (i, j-1) and (i, j).
     The output is bitwise identical for every strategy and backend because
     each interface is computed exactly once from the same two cells by the
-    same elementwise kernel.
+    same elementwise kernel.  The fluctuations go into `out` when given (a
+    field of this grid; every slot is overwritten), else into a fresh field.
     """
     spec = state.spec
     if kernel.descriptor.num_eqn != spec.num_eqn:
@@ -209,7 +244,9 @@ def sweep(state: StateField, aux: AuxField | None, kernel: Kernel,
         tile_w, tile_h = strategy.tile_w, strategy.tile_h
     else:
         raise TypeError(f"unknown traversal strategy {strategy!r}")
-    fluct = FluctuationField(spec, zeroed=False)
+    if out is not None and out.spec != spec:
+        raise ValueError(f"out is a fluctuation field for {out.spec}, grid is {spec}")
+    fluct = out if out is not None else FluctuationField(spec, zeroed=False)
     counter = _WriteCounter(nx, ny) if _checked() else None
     ctx = _SweepContext(state, aux, kernel, fluct, counter)
     tiles_i = -(-(nx + 1) // tile_w)
@@ -253,7 +290,9 @@ def apply_update(state: StateField, fluct: FluctuationField, dt: float,
         q -= dt/dy * (apdq_y[j] + amdq_y[j+1])
 
     applied in that fixed order, so results are bitwise reproducible across
-    backends.  Mutates and returns `state`.
+    backends.  Each leaf's rows are updated in chunks of at most _MAX_BLOCK
+    cells, which bounds the temporaries without changing a value.  Mutates
+    and returns `state`.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -262,10 +301,14 @@ def apply_update(state: StateField, fluct: FluctuationField, dt: float,
     dtdx = dt / spec.dx
     dtdy = dt / spec.dy
 
+    chunk = max(1, _MAX_BLOCK // nx)
+
     def rows(a, b):
-        cells = state.data[:, g : g + nx, g + a : g + b]
-        cells -= dtdx * (fluct.x_plus[:, 0:nx, a:b] + fluct.x_minus[:, 1 : nx + 1, a:b])
-        cells -= dtdy * (fluct.y_plus[:, :, a:b] + fluct.y_minus[:, :, a + 1 : b + 1])
+        for c in range(a, b, chunk):
+            d = min(c + chunk, b)
+            cells = state.data[:, g : g + nx, g + c : g + d]
+            cells -= dtdx * (fluct.x_plus[:, 0:nx, c:d] + fluct.x_minus[:, 1 : nx + 1, c:d])
+            cells -= dtdy * (fluct.y_plus[:, :, c:d] + fluct.y_minus[:, :, c + 1 : d + 1])
 
     for_each_unit(ny, backend, rows)
     return state

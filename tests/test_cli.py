@@ -34,6 +34,8 @@ class TestParseBench:
         ["bench", "--threads", "0"],
         ["bench", "--threads", "1,0"],
         ["bench", "--sizes", "0x32"],
+        ["bench", "--sizes", "1x8"],
+        ["bench", "--sizes", "8x8,8x1"],
         ["bench", "--sizes", "banana"],
         ["bench", "--kernel", "warp"],
         ["bench", "--backend", "cuda"],
@@ -74,6 +76,13 @@ class TestParseRun:
         with pytest.raises(SystemExit) as exc:
             parse_args(["run", "--steps", "5", "--t-final", "0.5"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("nx,ny", [("1", "1"), ("8", "1"), ("1", "8")])
+    def test_grid_smaller_than_ghost_frame_exits_2(self, nx, ny, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["run", "--nx", nx, "--ny", ny, "--steps", "1"])
+        assert exc.value.code == 2
+        assert "ghost frame" in capsys.readouterr().err
 
     def test_cfl_flag_feeds_controller(self):
         cfg = parse_args(["run", "--cfl", "0.5"])

@@ -1,14 +1,22 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wavesweep
 from wavesweep.driver import (DEFAULT_IC, SOD_LEFT, SOD_RIGHT, SimulationConfig,
                               TimestepController, choose_dt, gaussian_profile,
                               initial_condition, run, step)
 from wavesweep.grid import BoundaryCondition, GridSpec
 from wavesweep.oracles import error_norms, exact_advection
-from wavesweep.parallel import StaticThreads, WorkStealing
+from wavesweep.parallel import Serial, StaticThreads, WorkStealing
 from wavesweep.sweep import CellWise, RowWise, Tiled
 
 
@@ -132,6 +140,86 @@ class TestStep:
         _, reports = run(config, TimestepController(cfl_target=0.8))
         for rep in reports:
             assert rep.cfl <= 0.8 + 1e-12
+
+    def test_reused_fluctuation_field_carries_nothing_between_states(self):
+        spec = gas_spec(20, 14)
+        ctl = TimestepController()
+        plans = [SimulationConfig(spec=spec, kernel="euler", ic="euler-sod-x", num_steps=1),
+                 SimulationConfig(spec=spec, kernel="euler", ic="euler-sod-x",
+                                  strategy=Tiled(6, 5), backend=StaticThreads(2),
+                                  num_steps=1)]
+        other_spec = GridSpec(nx=12, ny=10, dx=1 / 12, dy=1 / 10, num_eqn=1)
+        other = SimulationConfig(spec=other_spec, kernel="advection",
+                                 ic="advection-gaussian", num_steps=1)
+        other_state, other_aux, _ = initial_condition(other.ic, other_spec)
+        starts = []
+        for k in range(2):
+            state, aux, _ = initial_condition("euler-sod-x", spec)
+            state.interior[0] *= 1.0 + 0.1 * k   # the two states differ
+            starts.append((state, aux))
+
+        alone = []
+        for (state, aux), config in zip(starts, plans):
+            state = state.copy()
+            for _ in range(4):
+                step(state, aux, config, ctl)
+            alone.append(state)
+
+        together = [state.copy() for state, _ in starts]
+        for _ in range(4):
+            for k, config in enumerate(plans):
+                step(together[k], starts[k][1], config, ctl)
+                step(other_state, other_aux, other, ctl)
+        for a, b in zip(alone, together):
+            assert np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("backend", [Serial(), StaticThreads(2)])
+    def test_warm_step_allocates_less_than_one_fluctuation_array(self, backend):
+        n = 1024
+        spec = GridSpec(nx=n, ny=n, dx=1 / n, dy=1 / n, num_eqn=1)
+        config = SimulationConfig(spec=spec, kernel="advection", ic="advection-gaussian",
+                                  backend=backend, num_steps=3)
+        state, aux, _ = initial_condition(config.ic, spec)
+        ctl = TimestepController()
+        for _ in range(2):
+            step(state, aux, config, ctl)
+        tracemalloc.start()
+        try:
+            step(state, aux, config, ctl)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (n + 1) * n * 8, f"third step's traced peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                        reason="the malloc thresholds are pinned only under glibc on Linux")
+    def test_warm_steps_do_not_fault(self):
+        # a fresh process, so this one's allocation history cannot hide the churn
+        script = textwrap.dedent("""
+            import resource
+            from wavesweep.driver import (SimulationConfig, TimestepController,
+                                          initial_condition, step)
+            from wavesweep.grid import GridSpec
+            from wavesweep.parallel import StaticThreads
+
+            spec = GridSpec(nx=256, ny=256, dx=1 / 256, dy=1 / 256, num_eqn=4)
+            config = SimulationConfig(spec=spec, kernel="euler", ic="euler-sod-x",
+                                      backend=StaticThreads(2), num_steps=1)
+            state, aux, _ = initial_condition(config.ic, spec)
+            ctl = TimestepController()
+            for _ in range(2):
+                step(state, aux, config, ctl)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(5):
+                step(state, aux, config, ctl)
+            print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / 5)
+        """)
+        src = str(Path(wavesweep.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert float(out.stdout) < 256, f"{out.stdout.strip()} minor faults per warm step"
 
 
 class TestRun:

@@ -4,13 +4,13 @@ import threading
 import numpy as np
 import pytest
 
-from wavesweep.grid import (AuxField, BoundaryCondition, GridSpec, StateField,
-                            allocate_fields, fill_ghost)
+from wavesweep.grid import (AuxField, BoundaryCondition, FluctuationField, GridSpec,
+                            StateField, allocate_fields, fill_ghost)
 from wavesweep.kernels import Direction, Kernel, make_kernel
 from wavesweep.oracles import random_gas_states
 from wavesweep.parallel import Serial, StaticThreads, WorkStealing, for_each_unit
-from wavesweep.sweep import (CellWise, RowWise, SweepError, Tiled, apply_update,
-                             sweep)
+from wavesweep.sweep import (_MAX_BLOCK, CellWise, RowWise, SweepError, Tiled,
+                             apply_update, sweep)
 
 PER = BoundaryCondition.PERIODIC
 
@@ -71,6 +71,7 @@ def test_strategy_equivalence_bitwise(strategy):
     kernel = make_kernel("euler")
     ref, ref_stats = sweep(state, aux, kernel, RowWise(), Serial())
     out, stats = sweep(state, aux, kernel, strategy, Serial())
+    assert not np.shares_memory(ref.x_minus, out.x_minus)
     for a, b in ((ref.x_minus, out.x_minus), (ref.x_plus, out.x_plus),
                  (ref.y_minus, out.y_minus), (ref.y_plus, out.y_plus)):
         assert np.array_equal(a, b)
@@ -90,6 +91,26 @@ def test_backend_equivalence_bitwise(strategy, backend):
                  (ref.y_minus, out.y_minus), (ref.y_plus, out.y_plus)):
         assert np.array_equal(a, b)
     assert stats.max_speed_x == ref.max_speed_x
+
+
+def test_sweep_into_given_field_overwrites_every_slot():
+    spec, state = filled_gas_field(13, 9, seed=4)
+    aux = AuxField(spec)
+    kernel = make_kernel("euler")
+    ref, ref_stats = sweep(state, aux, kernel, CellWise(), Serial())
+    out = FluctuationField(spec, zeroed=False)
+    for arr in (out.x_minus, out.x_plus, out.y_minus, out.y_plus):
+        arr.fill(np.nan)
+    fluct, stats = sweep(state, aux, kernel, Tiled(4, 3), StaticThreads(2), out=out)
+    assert fluct is out
+    for a, b in ((ref.x_minus, out.x_minus), (ref.x_plus, out.x_plus),
+                 (ref.y_minus, out.y_minus), (ref.y_plus, out.y_plus)):
+        assert np.array_equal(a, b)
+    assert stats == ref_stats
+    assert (out.max_speed_x, out.max_speed_y) == (ref.max_speed_x, ref.max_speed_y)
+    with pytest.raises(ValueError, match="out"):
+        sweep(state, aux, kernel, CellWise(), Serial(), out=FluctuationField(
+            GridSpec(nx=9, ny=13, dx=spec.dx, dy=spec.dy, num_eqn=4)))
 
 
 def test_kernel_grid_shape_mismatch():
@@ -244,6 +265,26 @@ class TestApplyUpdate:
         threaded = state.copy()
         apply_update(threaded, fluct, dt=1e-3, backend=StaticThreads(4))
         assert np.array_equal(serial.data, threaded.data)
+
+    @pytest.mark.parametrize("backend", [Serial(), StaticThreads(2)])
+    @pytest.mark.parametrize("nx,ny", [(_MAX_BLOCK + 5, 3), (1000, 70)])
+    def test_blocked_update_equals_whole_grid_expression(self, nx, ny, backend):
+        # rows are updated in chunks of max(1, _MAX_BLOCK // nx): 1 row, or 32 rows
+        spec = GridSpec(nx=nx, ny=ny, dx=0.3, dy=0.7, num_eqn=1)
+        rng = np.random.default_rng(9)
+        state = StateField(spec)
+        state.data[:] = rng.normal(size=state.data.shape)
+        fluct = FluctuationField(spec)
+        for arr in (fluct.x_minus, fluct.x_plus, fluct.y_minus, fluct.y_plus):
+            arr[:] = rng.normal(size=arr.shape)
+        dt = 0.01
+        dtdx, dtdy = dt / spec.dx, dt / spec.dy
+        expect = state.data.copy(order="F")
+        q = expect[:, 2 : 2 + nx, 2 : 2 + ny]
+        q -= dtdx * (fluct.x_plus[:, :nx] + fluct.x_minus[:, 1:])
+        q -= dtdy * (fluct.y_plus[:, :, :ny] + fluct.y_minus[:, :, 1:])
+        apply_update(state, fluct, dt, backend=backend)
+        assert np.array_equal(state.data, expect)
 
     def test_nonpositive_dt_rejected(self):
         spec, state = filled_gas_field(4, 4, seed=8)
