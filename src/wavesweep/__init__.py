@@ -12,7 +12,7 @@ from .parallel import (Backend, ParallelError, Serial, StaticThreads,
                        for_each_unit)
 from .sweep import (CellWise, RowWise, Strategy, SweepError, SweepStats, Tiled,
                     apply_update, sweep)
-from .driver import (DEFAULT_IC, SimulationConfig, StepReport,
+from .driver import (DEFAULT_IC, SimulationConfig, StepLimitError, StepReport,
                      TimestepController, choose_dt, initial_condition, run,
                      step)
 

@@ -1,6 +1,7 @@
 """Command-line interface: run one simulation, benchmark the matrix, verify.
 
-Exit codes: 0 success, 1 correctness/verification failure, 2 usage error.
+Exit codes: 0 success, 1 correctness/verification failure (including a run
+that fails in a kernel or stops at the step limit), 2 usage error.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ from dataclasses import dataclass
 
 from .bench import (BACKEND_NAMES, BenchConfig, BenchGuardError, emit_csv,
                     make_backend, run_bench)
-from .driver import (DEFAULT_IC, IC_KERNEL, SimulationConfig, TimestepController, run)
+from .driver import (DEFAULT_IC, IC_KERNEL, SimulationConfig, StepLimitError,
+                     TimestepController, run)
 from .grid import GridSpec
 from .kernels import DESCRIPTORS, KERNEL_NAMES
 from .oracles import verify_suite
 from .parallel import THREAD_COUNT_ENV, default_thread_count
-from .sweep import CellWise, RowWise, Tiled
+from .sweep import CellWise, RowWise, SweepError, Tiled
 
 STRATEGY_NAMES = ("rowwise", "cellwise", "tiled")
 
@@ -218,7 +220,11 @@ def parse_args(argv) -> BenchConfig | RunConfig | VerifyConfig:
 
 
 def _do_run(cfg: RunConfig) -> int:
-    state, reports = run(cfg.sim, cfg.ctl)
+    try:
+        state, reports = run(cfg.sim, cfg.ctl)
+    except (SweepError, StepLimitError) as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 1
     n = len(reports)
     t = sum(r.dt for r in reports)
     sweep_ms = sum(r.sweep_ms for r in reports)

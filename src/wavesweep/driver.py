@@ -13,7 +13,11 @@ from .grid import (AuxField, BoundaryCondition, FluctuationField, GridSpec, Stat
                    fill_ghost)
 from .kernels import DESCRIPTORS, Kernel, make_kernel
 from .parallel import Backend, Serial
-from .sweep import CellWise, Strategy, apply_update, sweep
+from .sweep import CellWise, Strategy, SweepError, apply_update, sweep
+
+# the most steps a t_final run takes; a run that has not reached t_final by
+# then raises StepLimitError instead of looping on (e.g. a huge t_final)
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -243,26 +247,46 @@ def step(state: StateField, aux: AuxField | None, config: SimulationConfig,
     return state, report
 
 
+class StepLimitError(RuntimeError):
+    """A t_final run took MAX_STEPS steps without reaching t_final."""
+
+    def __init__(self, steps: int, time: float, t_final: float):
+        super().__init__(f"stopped after {steps} steps (the step limit) at "
+                         f"t={float(time)!r}, short of t_final={float(t_final)!r}")
+        self.steps = steps
+        self.time = time
+        self.t_final = t_final
+
+
 def run(config: SimulationConfig, ctl: TimestepController | None = None
         ) -> tuple[StateField, list[StepReport]]:
     """Integrate from the named initial condition to t_final or num_steps.
 
-    The last step's dt is truncated to land on t_final exactly.
+    The last step's dt is truncated to land on t_final exactly.  A t_final
+    run stops with StepLimitError after MAX_STEPS steps.  A kernel failure
+    raises SweepError carrying the step index and sim time as well as the
+    interface.
     """
     ctl = ctl if ctl is not None else TimestepController()
     state, aux, _ = initial_condition(config.ic, config.spec)
     reports: list[StepReport] = []
-
-    if config.num_steps is not None:
-        for _ in range(config.num_steps):
-            state, rep = step(state, aux, config, ctl)
-            reports.append(rep)
-        return state, reports
-
     t = 0.0
-    tol = 1e-14 * max(1.0, config.t_final)
-    while config.t_final - t > tol:
-        state, rep = step(state, aux, config, ctl, remaining=config.t_final - t)
-        reports.append(rep)
-        t += rep.dt
+
+    try:
+        if config.num_steps is not None:
+            for _ in range(config.num_steps):
+                state, rep = step(state, aux, config, ctl)
+                reports.append(rep)
+                t += rep.dt
+        else:
+            tol = 1e-14 * max(1.0, config.t_final)
+            while config.t_final - t > tol:
+                if len(reports) >= MAX_STEPS:
+                    raise StepLimitError(len(reports), t, config.t_final)
+                state, rep = step(state, aux, config, ctl, remaining=config.t_final - t)
+                reports.append(rep)
+                t += rep.dt
+    except SweepError as err:
+        raise SweepError(err.direction, err.i, err.j, err.cause,
+                         step=len(reports), time=t) from err
     return state, reports

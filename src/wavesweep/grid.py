@@ -73,12 +73,23 @@ class GridSpec:
         return (np.arange(self.ny) + 0.5) * self.dy
 
 
+def _planar(ncomp: int, nx: int, ny: int, alloc=np.zeros) -> np.ndarray:
+    """(ncomp, nx, ny) array stored component-planar with i fastest.
+
+    Each component is one contiguous nx*ny plane, rows of constant j inside
+    it: strides (nx*ny*8, 8, nx*8).  With one component this is the same
+    memory as Fortran order.
+    """
+    return alloc((ncomp, ny, nx)).transpose(0, 2, 1)
+
+
 class _Field:
     """Dense (ncomp, nx_total, ny_total) array addressed (component, i, j).
 
-    Stored Fortran-ordered so the component column of one cell is contiguous
-    in memory: pointwise kernels read all components of two adjacent cells,
-    and per-cell contiguity is what keeps that access local.
+    Stored component-planar with i fastest (see _planar).  A kernel's numpy
+    passes each read one component at a time, so a plane per component lets
+    every pass stream contiguous rows instead of striding over the other
+    components; a sweep cuts (i-range, j-range) blocks, so i stays fastest.
     Interior cell (i, j) lives at data[:, num_ghost + i, num_ghost + j];
     ghost indices extend num_ghost cells past each edge.
     """
@@ -86,7 +97,7 @@ class _Field:
     def __init__(self, spec: GridSpec, ncomp: int):
         self.spec = spec
         self.num_comp = ncomp
-        self.data = np.zeros((ncomp, spec.nx_total, spec.ny_total), order="F")
+        self.data = _planar(ncomp, spec.nx_total, spec.ny_total)
 
     @property
     def interior(self) -> np.ndarray:
@@ -109,7 +120,8 @@ class _Field:
         out = object.__new__(type(self))
         out.spec = self.spec
         out.num_comp = self.num_comp
-        out.data = self.data.copy(order="F")
+        out.data = _planar(self.num_comp, self.spec.nx_total, self.spec.ny_total, np.empty)
+        out.data[...] = self.data
         return out
 
 
@@ -134,16 +146,19 @@ class FluctuationField:
     (i-1, j) and (i, j).  y-interface (i, j), i in [0, nx), j in [0, ny]:
     face between cells (i, j-1) and (i, j).  max_speed_* are the maxima of
     |s| over all wave speeds produced by the corresponding sweep direction.
+    The four arrays are component-planar with i fastest, like the state, so
+    a kernel result for an (i-range, j-range) block, which the kernels lay
+    out in the same order, is stored as contiguous runs along i.
     """
 
     def __init__(self, spec: GridSpec, *, zeroed: bool = True):
         alloc = np.zeros if zeroed else np.empty
         m = spec.num_eqn
         self.spec = spec
-        self.x_minus = alloc((m, spec.nx + 1, spec.ny), order="F")
-        self.x_plus = alloc((m, spec.nx + 1, spec.ny), order="F")
-        self.y_minus = alloc((m, spec.nx, spec.ny + 1), order="F")
-        self.y_plus = alloc((m, spec.nx, spec.ny + 1), order="F")
+        self.x_minus = _planar(m, spec.nx + 1, spec.ny, alloc)
+        self.x_plus = _planar(m, spec.nx + 1, spec.ny, alloc)
+        self.y_minus = _planar(m, spec.nx, spec.ny + 1, alloc)
+        self.y_plus = _planar(m, spec.nx, spec.ny + 1, alloc)
         self.max_speed_x = 0.0
         self.max_speed_y = 0.0
 

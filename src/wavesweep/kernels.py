@@ -167,6 +167,22 @@ def _normal_slot(direction: Direction) -> int:
     return 1 if direction is Direction.X else 2
 
 
+def _result_array(lead: tuple, batch: np.ndarray) -> np.ndarray:
+    """Uninitialized lead + batch.shape array in the memory order of `batch`.
+
+    A 2-D batch whose first axis has the smaller stride, such as an (i, j)
+    block of a component-planar field, gets its batch axes stored reversed,
+    so each slot of the result, and everything computed from it, is laid out
+    like the input and stores back as contiguous rows.  Any other batch gets
+    plain C order.  Two strides are compared rather than sorted: this runs on
+    every kernel call, under the interpreter lock.
+    """
+    if batch.ndim == 2 and batch.strides[0] < batch.strides[1]:
+        n0, n1 = batch.shape
+        return np.empty(lead + (n1, n0)).swapaxes(-1, -2)
+    return np.empty(lead + batch.shape)
+
+
 def rp_advection(direction: Direction, ql, qr, u: float, v: float) -> RiemannResult:
     """Scalar advection with constant velocity (u, v): pure upwinding.
 
@@ -206,13 +222,13 @@ def rp_acoustics_const(direction: Direction, ql, qr, params: AcousticsParams) ->
     a1 = (-dp + z * dn) / (2.0 * z)
     a2 = (dp + z * dn) / (2.0 * z)
 
-    batch = dp.shape
-    waves = np.zeros((2, 3) + batch)
+    waves = _result_array((2, 3), dp)
+    waves[:, 3 - ni] = 0.0  # the transverse slot, untouched by both waves
     waves[0, 0] = -z * a1
     waves[0, ni] = a1
     waves[1, 0] = z * a2
     waves[1, ni] = a2
-    speeds = np.empty((2,) + batch)
+    speeds = _result_array((2,), dp)
     speeds[0] = -c
     speeds[1] = c
     amdq = -c * waves[0]
@@ -253,13 +269,13 @@ def rp_acoustics_var(direction: Direction, ql, qr, auxl, auxr) -> RiemannResult:
     a1 = (-dp + zr * dn) / denom
     a2 = (dp + zl * dn) / denom
 
-    batch = dp.shape
-    waves = np.zeros((2, 3) + batch)
+    waves = _result_array((2, 3), dp)
+    waves[:, 3 - ni] = 0.0  # the transverse slot, untouched by both waves
     waves[0, 0] = -zl * a1
     waves[0, ni] = a1
     waves[1, 0] = zr * a2
     waves[1, ni] = a2
-    speeds = np.empty((2,) + batch)
+    speeds = _result_array((2,), dp)
     speeds[0] = -cl
     speeds[1] = cr
     amdq = -cl * waves[0]
@@ -317,8 +333,7 @@ def rp_euler(direction: Direction, ql, qr, params: EulerParams) -> RiemannResult
     a_plus = 0.5 * (span + d_rho - a_mid)
     a_minus = d_rho - a_mid - a_plus
 
-    batch = d_rho.shape
-    waves = np.empty((3, 4) + batch)
+    waves = _result_array((3, 4), d_rho)
     waves[0, 0] = a_minus
     waves[0, ni] = a_minus * (u_hat - c_hat)
     waves[0, ti] = a_minus * v_hat
@@ -332,7 +347,7 @@ def rp_euler(direction: Direction, ql, qr, params: EulerParams) -> RiemannResult
     waves[2, ti] = a_plus * v_hat
     waves[2, 3] = a_plus * (h_hat + u_hat * c_hat)
 
-    speeds = np.empty((3,) + batch)
+    speeds = _result_array((3,), d_rho)
     speeds[0] = u_hat - c_hat
     speeds[1] = u_hat
     speeds[2] = u_hat + c_hat

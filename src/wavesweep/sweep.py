@@ -109,13 +109,25 @@ class SweepStats:
 
 
 class SweepError(RuntimeError):
-    """Kernel failure during a sweep, located at a specific interface."""
+    """Kernel failure during a sweep, located at a specific interface.
 
-    def __init__(self, direction: Direction, i: int, j: int, cause: Exception):
-        super().__init__(f"{direction.value}-interface (i={i}, j={j}): {cause}")
+    `driver.run` also locates it in time: `step` is the 0-based index of the
+    failing step and `time` the sim time at its start (both None from a bare
+    sweep).
+    """
+
+    def __init__(self, direction: Direction, i: int, j: int, cause: Exception,
+                 step: int | None = None, time: float | None = None):
+        where = f"{direction.value}-interface (i={i}, j={j})"
+        if step is not None:
+            where += f" in step {step} at t={float(time)!r}"
+        super().__init__(f"{where}: {cause}")
         self.direction = direction
         self.i = i
         self.j = j
+        self.cause = cause
+        self.step = step
+        self.time = time
 
 
 class _WriteCounter:

@@ -1,6 +1,9 @@
+import re
+
 import pytest
 
 import wavesweep.cli as cli
+import wavesweep.driver as driver
 from wavesweep.bench import BenchConfig
 from wavesweep.cli import RunConfig, VerifyConfig, main, parse_args
 from wavesweep.oracles import VerifyReport, VerifyResult
@@ -122,6 +125,28 @@ class TestMain:
         assert code == 0
         assert "steps=3" in out
         assert "kernel=euler" in out
+
+    def test_run_past_step_limit_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(driver, "MAX_STEPS", 4)
+        code = main(["run", "--kernel", "advection", "--nx", "8", "--ny", "8",
+                     "--t-final", "1e9"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert "after 4 steps" in lines[0] and "t_final=1000000000" in lines[0]
+        assert re.search(r" at t=0\.\d+", lines[0])
+
+    def test_run_kernel_failure_exits_1_with_location(self, poison_step, capsys):
+        poison_step(2)
+        code = main(["run", "--kernel", "euler", "--nx", "8", "--ny", "8", "--steps", "4"])
+        captured = capsys.readouterr()
+        assert code == 1
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert "x-interface (i=3, j=2) in step 2 at t=" in lines[0]
+        assert "nonpositive density on right side" in lines[0]
 
     def test_bench_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "records.csv"

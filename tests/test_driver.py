@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 import wavesweep
+import wavesweep.driver as driver
 from wavesweep.driver import (DEFAULT_IC, SOD_LEFT, SOD_RIGHT, SimulationConfig,
-                              TimestepController, choose_dt, gaussian_profile,
-                              initial_condition, run, step)
+                              StepLimitError, TimestepController, choose_dt,
+                              gaussian_profile, initial_condition, run, step)
 from wavesweep.grid import BoundaryCondition, GridSpec
 from wavesweep.oracles import error_norms, exact_advection
 from wavesweep.parallel import Serial, StaticThreads, WorkStealing
-from wavesweep.sweep import CellWise, RowWise, Tiled
+from wavesweep.sweep import CellWise, RowWise, SweepError, Tiled
 
 
 def gas_spec(nx, ny):
@@ -246,6 +247,42 @@ class TestRun:
         _, reports = run(config)
         assert len(reports) == 1
         assert reports[0].dt == pytest.approx(1e-6, abs=1e-18)
+
+    def test_t_final_run_stops_at_step_limit(self, monkeypatch):
+        monkeypatch.setattr(driver, "MAX_STEPS", 5)
+        spec = GridSpec(nx=8, ny=8, dx=1 / 8, dy=1 / 8, num_eqn=1)
+        config = SimulationConfig(spec=spec, kernel="advection",
+                                  ic="advection-gaussian", t_final=1e9)
+        with pytest.raises(StepLimitError) as exc:
+            run(config)
+        _, reports = run(SimulationConfig(spec=spec, kernel="advection",
+                                          ic="advection-gaussian", num_steps=5))
+        assert exc.value.steps == 5
+        assert exc.value.time == sum(r.dt for r in reports)
+        assert exc.value.t_final == 1e9
+        # the cap is on t_final runs only; num_steps already bounds a run
+        assert len(run(SimulationConfig(spec=spec, kernel="advection",
+                                        ic="advection-gaussian", num_steps=7))[1]) == 7
+
+    @pytest.mark.parametrize("backend", [Serial(), StaticThreads(2)])
+    def test_kernel_failure_reports_step_and_time(self, poison_step, backend):
+        spec = gas_spec(8, 8)
+        clean = SimulationConfig(spec=spec, kernel="euler", ic="euler-sod-x",
+                                 backend=backend, num_steps=2)
+        _, reports = run(clean)
+        for config in (SimulationConfig(spec=spec, kernel="euler", ic="euler-sod-x",
+                                        backend=backend, num_steps=4),
+                       SimulationConfig(spec=spec, kernel="euler", ic="euler-sod-x",
+                                        backend=backend, t_final=10.0)):
+            poison_step(2)
+            with pytest.raises(SweepError) as exc:
+                run(config)
+            err = exc.value
+            assert (err.direction.value, err.i, err.j) == ("x", 3, 2)
+            assert err.step == 2
+            assert err.time == reports[0].dt + reports[1].dt
+            assert str(err).startswith(f"x-interface (i=3, j=2) in step 2 at t={err.time!r}")
+            assert "nonpositive density on right side" in str(err)
 
     @pytest.mark.parametrize("strategy,backend", [
         (RowWise(), StaticThreads(3)),

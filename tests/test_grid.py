@@ -42,11 +42,26 @@ def test_invalid_spec_rejected(bad):
         GridSpec(**bad)
 
 
-def test_component_column_is_contiguous():
-    # kernels read all components of one cell together; they must be adjacent
-    spec = GridSpec(nx=4, ny=3, dx=0.1, dy=0.1, num_eqn=4)
-    state = StateField(spec)
-    assert state.data.strides[0] == state.data.itemsize
+def _assert_planar(arr: np.ndarray):
+    # each component is one contiguous plane with i fastest
+    ncomp, ni, nj = arr.shape
+    item = arr.itemsize
+    assert arr.strides == (ni * nj * item, item, ni * item)
+    for plane in arr:
+        assert plane.T.flags.c_contiguous
+
+
+def test_components_are_contiguous_planes():
+    # kernel passes read one component at a time; each must be one plane
+    spec = GridSpec(nx=4, ny=3, dx=0.1, dy=0.1, num_eqn=4, num_aux=2)
+    state, aux, _ = allocate_fields(spec)
+    arrays = [state.data, aux.data, state.copy().data, aux.copy().data]
+    for zeroed in (True, False):
+        fluct = FluctuationField(spec, zeroed=zeroed)
+        arrays += [fluct.x_minus, fluct.x_plus, fluct.y_minus, fluct.y_plus]
+    for arr in arrays:
+        _assert_planar(arr)
+    assert state.copy().data.strides == state.data.strides
 
 
 def _row_field(values, num_ghost=1):

@@ -293,6 +293,53 @@ class TestPurityAndBatching:
             assert np.array_equal(batched.waves[:, :, k], single.waves)
 
 
+def _layouts(arr: np.ndarray) -> dict:
+    """One (ncomp, nx, ny) array stored Fortran-ordered, C-ordered and planar."""
+    return {"F": np.asfortranarray(arr), "C": np.ascontiguousarray(arr),
+            "planar": np.ascontiguousarray(arr.transpose(0, 2, 1)).transpose(0, 2, 1)}
+
+
+def _bits(arr: np.ndarray) -> bytes:
+    return np.ascontiguousarray(arr).tobytes()
+
+
+@pytest.mark.parametrize("direction", [Direction.X, Direction.Y])
+@pytest.mark.parametrize("name", ["advection", "acoustics-const", "acoustics-var", "euler"])
+def test_results_do_not_depend_on_input_layout(name, direction):
+    # batches cut from a field the way a sweep cuts them, from three layouts
+    rng = np.random.default_rng(13)
+    nx, ny, w, h = 11, 9, 8, 6
+    neqn = DESCRIPTORS[name].num_eqn
+    if name == "euler":
+        q = random_gas_states(rng, nx * ny, 1.4).reshape(4, nx, ny)
+    else:
+        q = rng.normal(size=(neqn, nx, ny))
+    aux = rng.uniform(0.5, 2.0, (2, nx, ny))
+    kernel = make_kernel(name, **{"advection": {"u": 1.5, "v": -0.5},
+                                  "acoustics-const": {"rho": 2.0, "bulk": 3.0},
+                                  "acoustics-var": {}, "euler": {}}[name])
+    di, dj = (1, 0) if direction is Direction.X else (0, 1)
+    left = (slice(None), slice(1 - di, 1 - di + w), slice(1 - dj, 1 - dj + h))
+    right = (slice(None), slice(1, 1 + w), slice(1, 1 + h))
+    results = {}
+    for layout, ql in _layouts(q).items():
+        a = _layouts(aux)[layout]
+        results[layout] = kernel.solve(direction, ql[left], ql[right], a[left], a[right])
+    ref = results["C"]
+    for res in results.values():
+        for field in ("waves", "speeds", "amdq", "apdq"):
+            got, want = getattr(res, field), getattr(ref, field)
+            assert got.shape == want.shape and _bits(got) == _bits(want), field
+    if name.startswith("acoustics"):
+        transverse = ref.waves[:, 3 - (1 if direction is Direction.X else 2)]
+        assert np.all(transverse == 0.0) and not np.signbit(transverse).any()
+    # a planar batch gives results laid out like it: contiguous along i
+    planar = results["planar"]
+    itemsize = planar.amdq.itemsize
+    assert planar.amdq[0].strides[0] == itemsize
+    assert planar.apdq[0].strides[0] == itemsize
+
+
 class TestMakeKernel:
     def test_binds_parameters(self):
         k = make_kernel("advection", u=2.0, v=0.5)
