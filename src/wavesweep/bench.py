@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import (DEFAULT_IC, SimulationConfig, TimestepController,
-                     initial_condition, step)
+                     initial_condition, step, unit_square_spec)
 from .grid import GridSpec
 from .kernels import DESCRIPTORS
 from .parallel import Backend, Serial, StaticThreads, WorkStealing
@@ -29,6 +29,10 @@ CSV_HEADER = ("kernel,nx,ny,strategy,backend,threads,steps,"
               "ms_per_step,mcells_per_s,speedup,efficiency")
 
 BACKEND_NAMES = ("serial", "static", "workstealing")
+
+# strategy name -> type; every strategy but Tiled takes no arguments
+_STRATEGIES = {"rowwise": RowWise, "cellwise": CellWise, "tiled": Tiled}
+STRATEGY_NAMES = tuple(_STRATEGIES)
 
 # efficiency sanity band: values above this are flagged, not rejected
 EFFICIENCY_FLAG = 1.5
@@ -62,22 +66,29 @@ class BenchConfig:
                 raise ValueError(f"{name} must be nonempty")
         for k in self.kernels:
             if k not in DESCRIPTORS:
-                raise ValueError(f"unknown kernel {k!r}")
+                raise ValueError(f"unknown kernel {k!r}; choose from {', '.join(DESCRIPTORS)}")
         for b in self.backends:
             if b not in BACKEND_NAMES:
-                raise ValueError(f"unknown backend {b!r}")
+                raise ValueError(f"unknown backend {b!r}; choose from {', '.join(BACKEND_NAMES)}")
         for t in self.threads:
             if t < 1:
                 raise ValueError(f"thread counts must be >= 1, got {t}")
+        # every bench grid is periodic, and the periodic ghost fill wraps
+        # num_ghost interior cells, so no side may be shorter
         for nx, ny in self.sizes:
-            if nx < 1 or ny < 1:
-                raise ValueError(f"grid sizes must be >= 1, got {nx}x{ny}")
+            if nx < GridSpec.num_ghost or ny < GridSpec.num_ghost:
+                raise ValueError(f"grid sides must be >= {GridSpec.num_ghost} "
+                                 f"(the ghost frame), got {nx}x{ny}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.warmup < 0:
             raise ValueError(f"warmup must be >= 0, got {self.warmup}")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        if self.grain is not None and self.grain < 1:
+            raise ValueError(f"grain must be >= 1, got {self.grain}")
+        if not 0.0 < self.cfl < 1.0:
+            raise ValueError(f"cfl must lie in (0, 1), got {self.cfl}")
 
 
 @dataclass
@@ -97,13 +108,17 @@ class BenchRecord:
     efficiency: float
 
 
+def make_strategy(name: str, tile: tuple[int, int]) -> Strategy:
+    """The strategy called `name`; `tile` is (width, height) for "tiled"."""
+    if name not in _STRATEGIES:
+        raise ValueError(f"unknown strategy {name!r}; choose from {', '.join(STRATEGY_NAMES)}")
+    return Tiled(*tile) if name == "tiled" else _STRATEGIES[name]()
+
+
 def strategy_name(strategy: Strategy) -> str:
-    if isinstance(strategy, RowWise):
-        return "rowwise"
-    if isinstance(strategy, CellWise):
-        return "cellwise"
-    if isinstance(strategy, Tiled):
-        return "tiled"
+    for name, kind in _STRATEGIES.items():
+        if isinstance(strategy, kind):
+            return name
     raise TypeError(f"unknown strategy {strategy!r}")
 
 
@@ -117,17 +132,11 @@ def make_backend(name: str, threads: int, grain: int | None = None) -> Backend:
     raise ValueError(f"unknown backend {name!r}")
 
 
-def _grid_for(kernel: str, nx: int, ny: int) -> GridSpec:
-    desc = DESCRIPTORS[kernel]
-    return GridSpec(nx=nx, ny=ny, dx=1.0 / nx, dy=1.0 / ny,
-                    num_eqn=desc.num_eqn, num_aux=desc.num_aux)
-
-
 def _measure_cell(kernel: str, nx: int, ny: int, strategy: Strategy,
                   backend: Backend, steps: int, warmup: int, reps: int,
                   cfl: float) -> tuple[list[float], np.ndarray]:
     """Run one matrix cell; per-repetition ms/step plus the final state bytes."""
-    spec = _grid_for(kernel, nx, ny)
+    spec = unit_square_spec(kernel, nx, ny)
     ic = DEFAULT_IC[kernel]
     config = SimulationConfig(spec=spec, kernel=kernel, ic=ic,
                               strategy=strategy, backend=backend, num_steps=steps)

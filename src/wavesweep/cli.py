@@ -10,20 +10,15 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from .bench import (BACKEND_NAMES, BenchConfig, BenchGuardError, emit_csv,
-                    make_backend, run_bench)
+from .bench import (BACKEND_NAMES, STRATEGY_NAMES, BenchConfig, BenchGuardError,
+                    emit_csv, make_backend, make_strategy, run_bench)
 from .driver import (DEFAULT_IC, IC_KERNEL, SimulationConfig, StepLimitError,
-                     TimestepController, run)
+                     TimestepController, run, unit_square_spec)
 from .grid import GridSpec
-from .kernels import DESCRIPTORS, KERNEL_NAMES
+from .kernels import KERNEL_NAMES
 from .oracles import verify_suite
 from .parallel import THREAD_COUNT_ENV, default_thread_count
-from .sweep import CellWise, RowWise, SweepError, Tiled
-
-STRATEGY_NAMES = ("rowwise", "cellwise", "tiled")
-
-# the periodic ghost fill wraps num_ghost interior cells, so no side may be shorter
-_MIN_SIDE = GridSpec.num_ghost
+from .sweep import SweepError
 
 
 @dataclass
@@ -87,41 +82,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_tile(parser, text: str) -> tuple[int, int]:
+def _parse_wxh(parser, flag: str, text: str) -> tuple[int, int]:
     try:
         w, h = text.lower().split("x")
-        w, h = int(w), int(h)
+        return int(w), int(h)
     except ValueError:
-        parser.error(f"--tile expects WxH, got {text!r}")
+        parser.error(f"{flag} expects WxH, got {text!r}")
+
+
+def _parse_tile(parser, text: str) -> tuple[int, int]:
+    # checked here as well as by Tiled: --tile is parsed whatever the strategy
+    w, h = _parse_wxh(parser, "--tile", text)
     if w < 1 or h < 1:
         parser.error(f"tile sides must be >= 1, got {text!r}")
     return w, h
-
-
-def _parse_sizes(parser, text: str) -> tuple[tuple[int, int], ...]:
-    sizes = []
-    for item in text.split(","):
-        try:
-            nx, ny = item.lower().split("x")
-            sizes.append((int(nx), int(ny)))
-        except ValueError:
-            parser.error(f"--sizes expects comma-separated NxM entries, got {item!r}")
-    for nx, ny in sizes:
-        if nx < _MIN_SIDE or ny < _MIN_SIDE:
-            parser.error(f"grid sides must be >= {_MIN_SIDE} (the ghost frame), "
-                         f"got {nx}x{ny}")
-    return tuple(sizes)
-
-
-def _parse_threads(parser, text: str) -> tuple[int, ...]:
-    try:
-        threads = tuple(int(t) for t in text.split(","))
-    except ValueError:
-        parser.error(f"--threads expects comma-separated integers, got {text!r}")
-    for t in threads:
-        if t < 1:
-            parser.error(f"thread counts must be >= 1, got {t}")
-    return threads
 
 
 def _default_threads(parser) -> int:
@@ -131,92 +105,70 @@ def _default_threads(parser) -> int:
         parser.error(str(exc))
 
 
-def _strategy_obj(parser, name: str, tile: tuple[int, int]):
-    if name == "rowwise":
-        return RowWise()
-    if name == "cellwise":
-        return CellWise()
-    if name == "tiled":
-        return Tiled(*tile)
-    parser.error(f"unknown strategy {name!r}; choose from {', '.join(STRATEGY_NAMES)}")
-
-
 def parse_args(argv) -> BenchConfig | RunConfig | VerifyConfig:
-    """Turn argv into a typed command config; exits with code 2 on bad usage."""
+    """Turn argv into a typed command config; exits with code 2 on bad usage.
+
+    Values are checked by the config types they build (BenchConfig,
+    SimulationConfig, TimestepController, the backends and strategies); only
+    the rules that need the command line itself are checked here.
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
 
     if args.command == "verify":
         return VerifyConfig(seed=args.seed)
 
+    tile = _parse_tile(parser, args.tile)
     if args.command == "run":
         if args.steps is not None and args.t_final is not None:
             parser.error("--steps and --t-final are mutually exclusive")
         steps = 10 if (args.steps is None and args.t_final is None) else args.steps
-        if steps is not None and steps < 0:
-            parser.error(f"--steps must be >= 0, got {steps}")
         kernel = args.kernel
         ic = args.ic or DEFAULT_IC[kernel]
         if ic not in IC_KERNEL:
             parser.error(f"unknown --ic {ic!r}; choose from {', '.join(IC_KERNEL)}")
         if IC_KERNEL[ic] != kernel:
             parser.error(f"--ic {ic} is for --kernel {IC_KERNEL[ic]}, not {kernel}")
-        desc = DESCRIPTORS[kernel]
-        if args.nx < _MIN_SIDE or args.ny < _MIN_SIDE:
-            parser.error(f"--nx/--ny must be >= {_MIN_SIDE} (the ghost frame), "
+        # the periodic ghost fill wraps num_ghost interior cells, so no side may be shorter
+        if min(args.nx, args.ny) < GridSpec.num_ghost:
+            parser.error(f"--nx/--ny must be >= {GridSpec.num_ghost} (the ghost frame), "
                          f"got {args.nx}, {args.ny}")
-        spec = GridSpec(nx=args.nx, ny=args.ny, dx=1.0 / args.nx, dy=1.0 / args.ny,
-                        num_eqn=desc.num_eqn, num_aux=desc.num_aux)
-        tile = _parse_tile(parser, args.tile)
         threads = args.threads if args.threads is not None else _default_threads(parser)
-        if threads < 1:
+        if threads < 1:  # Serial ignores the count, so no config type checks it
             parser.error(f"--threads must be >= 1, got {threads}")
-        if args.grain is not None and args.grain < 1:
-            parser.error(f"--grain must be >= 1, got {args.grain}")
         if args.grain is not None and args.backend != "workstealing":
             parser.error(f"--grain applies only to --backend workstealing, not {args.backend}")
-        backend = make_backend(args.backend, threads, args.grain)
-        if not 0.0 < args.cfl < 1.0:
-            parser.error(f"--cfl must lie in (0, 1), got {args.cfl}")
         try:
-            sim = SimulationConfig(spec=spec, kernel=kernel, ic=ic,
-                                   strategy=_strategy_obj(parser, args.strategy, tile),
-                                   backend=backend, t_final=args.t_final, num_steps=steps)
+            return RunConfig(
+                sim=SimulationConfig(spec=unit_square_spec(kernel, args.nx, args.ny),
+                                     kernel=kernel, ic=ic,
+                                     strategy=make_strategy(args.strategy, tile),
+                                     backend=make_backend(args.backend, threads, args.grain),
+                                     t_final=args.t_final, num_steps=steps),
+                ctl=TimestepController(cfl_target=args.cfl))
         except ValueError as exc:
             parser.error(str(exc))
-        return RunConfig(sim=sim, ctl=TimestepController(cfl_target=args.cfl))
 
     # bench
-    kernels = tuple(k.strip() for k in args.kernel.split(","))
-    for k in kernels:
-        if k not in DESCRIPTORS:
-            parser.error(f"unknown kernel {k!r}; choose from {', '.join(KERNEL_NAMES)}")
-    sizes = _parse_sizes(parser, args.sizes)
-    tile = _parse_tile(parser, args.tile)
-    strategies = tuple(_strategy_obj(parser, s.strip(), tile)
-                       for s in args.strategy.split(","))
-    backends = tuple(b.strip() for b in args.backend.split(","))
-    for b in backends:
-        if b not in BACKEND_NAMES:
-            parser.error(f"unknown backend {b!r}; choose from {', '.join(BACKEND_NAMES)}")
+    sizes = tuple(_parse_wxh(parser, "--sizes", item) for item in args.sizes.split(","))
     if args.threads is None:
         threads = tuple(range(1, _default_threads(parser) + 1))
     else:
-        threads = _parse_threads(parser, args.threads)
-    if args.steps < 1:
-        parser.error(f"--steps must be >= 1, got {args.steps}")
-    if args.warmup < 0:
-        parser.error(f"--warmup must be >= 0, got {args.warmup}")
-    if args.reps < 1:
-        parser.error(f"--reps must be >= 1, got {args.reps}")
-    if args.grain is not None and args.grain < 1:
-        parser.error(f"--grain must be >= 1, got {args.grain}")
-    if not 0.0 < args.cfl < 1.0:
-        parser.error(f"--cfl must lie in (0, 1), got {args.cfl}")
-    return BenchConfig(kernels=kernels, sizes=sizes, strategies=strategies,
-                       backends=backends, threads=threads, steps=args.steps,
-                       warmup=args.warmup, repetitions=args.reps, grain=args.grain,
-                       cfl=args.cfl, out=args.out)
+        try:
+            threads = tuple(int(t) for t in args.threads.split(","))
+        except ValueError:
+            parser.error(f"--threads expects comma-separated integers, got {args.threads!r}")
+    try:
+        return BenchConfig(kernels=tuple(k.strip() for k in args.kernel.split(",")),
+                           sizes=sizes,
+                           strategies=tuple(make_strategy(s.strip(), tile)
+                                            for s in args.strategy.split(",")),
+                           backends=tuple(b.strip() for b in args.backend.split(",")),
+                           threads=threads, steps=args.steps, warmup=args.warmup,
+                           repetitions=args.reps, grain=args.grain, cfl=args.cfl,
+                           out=args.out)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _do_run(cfg: RunConfig) -> int:

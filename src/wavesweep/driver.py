@@ -76,7 +76,6 @@ class SimulationConfig:
     bc_y: BoundaryCondition = BoundaryCondition.PERIODIC
     t_final: float | None = None
     num_steps: int | None = None
-    kernel_params: dict | None = None
 
     def __post_init__(self):
         if self.kernel not in DESCRIPTORS:
@@ -128,6 +127,13 @@ DEFAULT_IC = {
 
 SOD_LEFT = (1.0, 0.0, 0.0, 2.5)       # density 1, at rest, pressure 1 (gamma 1.4)
 SOD_RIGHT = (0.125, 0.0, 0.0, 0.25)   # density 1/8, at rest, pressure 0.1
+
+
+def unit_square_spec(kernel: str, nx: int, ny: int) -> GridSpec:
+    """An nx x ny grid on the unit square sized for `kernel`'s state and aux."""
+    desc = DESCRIPTORS[kernel]
+    return GridSpec(nx=nx, ny=ny, dx=1.0 / nx, dy=1.0 / ny,
+                    num_eqn=desc.num_eqn, num_aux=desc.num_aux)
 
 
 def gaussian_profile(spec: GridSpec):
@@ -196,10 +202,8 @@ def initial_condition(name: str, spec: GridSpec) -> tuple[StateField, AuxField, 
 
 
 def resolve_kernel(config: SimulationConfig) -> Kernel:
-    """Bind the configured kernel, defaulting parameters from the IC."""
-    params = dict(IC_DEFAULT_PARAMS.get(config.ic, {}))
-    params.update(config.kernel_params or {})
-    return make_kernel(config.kernel, **params)
+    """Bind the configured kernel to the parameters its IC implies."""
+    return make_kernel(config.kernel, **IC_DEFAULT_PARAMS.get(config.ic, {}))
 
 
 # one fluctuation field per stepping thread, reused by every step on a grid of

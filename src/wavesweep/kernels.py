@@ -22,6 +22,7 @@ left cell) and apdq = sum over s_p > 0 (what enters the right cell).
 from __future__ import annotations
 
 import enum
+import inspect
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -201,68 +202,20 @@ def rp_advection(direction: Direction, ql, qr, u: float, v: float) -> RiemannRes
     return RiemannResult(waves, speeds, amdq, apdq)
 
 
-def rp_acoustics_const(direction: Direction, ql, qr, params: AcousticsParams) -> RiemannResult:
-    """Constant-coefficient acoustics: two sound waves at speeds -c, +c.
+def _acoustics(direction: Direction, ql, qr, zl, zr, cl, cr) -> RiemannResult:
+    """The acoustic Riemann solution shared by both acoustics solvers.
 
-    With jump components (dp, dn) in pressure and normal velocity and
-    impedance Z, the wave strengths are
+    Impedances Z_l, Z_r and sound speeds c_l, c_r are scalars or per-interface
+    arrays.  With jump components (dp, dn) in pressure and normal velocity,
+    the wave strengths are
 
-        a1 = (-dp + Z dn) / (2 Z),   a2 = (dp + Z dn) / (2 Z),
+        a1 = (-dp + Z_r dn) / (Z_l + Z_r),  a2 = (dp + Z_l dn) / (Z_l + Z_r);
 
-    carried by eigenvectors (-Z, 1, 0) and (Z, 1, 0) in (pressure, normal)
-    slots.  The transverse velocity slot is untouched by both waves.
+    the left-going wave travels at -c_l through eigenvector (-Z_l, 1, 0), the
+    right-going at +c_r through (Z_r, 1, 0), in (pressure, normal) slots.
+    The transverse velocity slot is untouched by both waves.
     """
-    ql, qr = _check_states(ql, qr, 3)
     ni = _normal_slot(direction)
-    z = params.impedance
-    c = params.sound_speed
-
-    dp = qr[0] - ql[0]
-    dn = qr[ni] - ql[ni]
-    a1 = (-dp + z * dn) / (2.0 * z)
-    a2 = (dp + z * dn) / (2.0 * z)
-
-    waves = _result_array((2, 3), dp)
-    waves[:, 3 - ni] = 0.0  # the transverse slot, untouched by both waves
-    waves[0, 0] = -z * a1
-    waves[0, ni] = a1
-    waves[1, 0] = z * a2
-    waves[1, ni] = a2
-    speeds = _result_array((2,), dp)
-    speeds[0] = -c
-    speeds[1] = c
-    amdq = -c * waves[0]
-    apdq = c * waves[1]
-    return RiemannResult(waves, speeds, amdq, apdq)
-
-
-def rp_acoustics_var(direction: Direction, ql, qr, auxl, auxr) -> RiemannResult:
-    """Acoustics across a material jump: per-cell (rho, c) on each side.
-
-    Impedances Z_l, Z_r weight the strengths
-
-        a1 = (-dp + Z_r dn) / (Z_l + Z_r),  a2 = (dp + Z_l dn) / (Z_l + Z_r),
-
-    the left-going wave travels at -c_l through eigenvector (-Z_l, 1, 0),
-    the right-going at +c_r through (Z_r, 1, 0).  Reduces bitwise to the
-    constant-coefficient solver when both sides carry the same material.
-    """
-    ql, qr = _check_states(ql, qr, 3)
-    auxl = np.asarray(auxl, dtype=float)
-    auxr = np.asarray(auxr, dtype=float)
-    if auxl.shape != ql[:2].shape or auxr.shape != qr[:2].shape:
-        raise ValueError(
-            f"aux must have shape (2, ...) matching the states, got {auxl.shape}, {auxr.shape}"
-        )
-    ni = _normal_slot(direction)
-    _check_positive("density", left=auxl[0], right=auxr[0])
-    _check_positive("sound speed", left=auxl[1], right=auxr[1])
-
-    zl = auxl[0] * auxl[1]
-    zr = auxr[0] * auxr[1]
-    cl = auxl[1]
-    cr = auxr[1]
-
     dp = qr[0] - ql[0]
     dn = qr[ni] - ql[ni]
     denom = zl + zr
@@ -281,6 +234,40 @@ def rp_acoustics_var(direction: Direction, ql, qr, auxl, auxr) -> RiemannResult:
     amdq = -cl * waves[0]
     apdq = cr * waves[1]
     return RiemannResult(waves, speeds, amdq, apdq)
+
+
+def rp_acoustics_const(direction: Direction, ql, qr, params: AcousticsParams) -> RiemannResult:
+    """Constant-coefficient acoustics: two sound waves at speeds -c, +c.
+
+    The shared acoustics solution with the same impedance Z and sound speed c
+    on both sides, so the strengths reduce to (-dp + Z dn) / (2 Z) and
+    (dp + Z dn) / (2 Z) (Z + Z is 2 Z exactly).
+    """
+    ql, qr = _check_states(ql, qr, 3)
+    z = params.impedance
+    c = params.sound_speed
+    return _acoustics(direction, ql, qr, z, z, c, c)
+
+
+def rp_acoustics_var(direction: Direction, ql, qr, auxl, auxr) -> RiemannResult:
+    """Acoustics across a material jump: per-cell (rho, c) on each side.
+
+    The shared acoustics solution with per-interface impedances
+    Z = rho * c and sound speeds c read from each side's aux.  Reduces bitwise
+    to the constant-coefficient solver when both sides carry the same
+    material.
+    """
+    ql, qr = _check_states(ql, qr, 3)
+    auxl = np.asarray(auxl, dtype=float)
+    auxr = np.asarray(auxr, dtype=float)
+    if auxl.shape != ql[:2].shape or auxr.shape != qr[:2].shape:
+        raise ValueError(
+            f"aux must have shape (2, ...) matching the states, got {auxl.shape}, {auxr.shape}"
+        )
+    _check_positive("density", left=auxl[0], right=auxr[0])
+    _check_positive("sound speed", left=auxl[1], right=auxr[1])
+    return _acoustics(direction, ql, qr, auxl[0] * auxl[1], auxr[0] * auxr[1],
+                      auxl[1], auxr[1])
 
 
 def rp_euler(direction: Direction, ql, qr, params: EulerParams) -> RiemannResult:
@@ -410,53 +397,59 @@ class Kernel:
         return f"Kernel({self.descriptor.name}, {args})"
 
 
+def _bind_advection(u, v):
+    def solve(direction, ql, qr, auxl=None, auxr=None):
+        return rp_advection(direction, ql, qr, u, v)
+    return solve
+
+
+def _bind_acoustics_const(rho, bulk):
+    p = AcousticsParams(density=rho, bulk=bulk)
+
+    def solve(direction, ql, qr, auxl=None, auxr=None):
+        return rp_acoustics_const(direction, ql, qr, p)
+    return solve
+
+
+def _bind_acoustics_var():
+    def solve(direction, ql, qr, auxl=None, auxr=None):
+        if auxl is None or auxr is None:
+            raise ValueError("acoustics-var requires aux data on both sides")
+        return rp_acoustics_var(direction, ql, qr, auxl, auxr)
+    return solve
+
+
+def _bind_euler(gamma=1.4):
+    p = EulerParams(gamma=gamma)
+
+    def solve(direction, ql, qr, auxl=None, auxr=None):
+        return rp_euler(direction, ql, qr, p)
+    return solve
+
+
+# kernel name -> binder; a binder's signature is the kernel's parameter list
+_BINDERS = {
+    "advection": _bind_advection,
+    "acoustics-const": _bind_acoustics_const,
+    "acoustics-var": _bind_acoustics_var,
+    "euler": _bind_euler,
+}
+
+
 def make_kernel(name: str, **params) -> Kernel:
-    """Bind one of the built-in kernels to concrete parameters.
+    """Bind one of the built-in kernels to concrete (float) parameters.
 
     advection(u, v), acoustics-const(rho, bulk), acoustics-var() which
-    reads per-cell (rho, c) from the aux field, euler(gamma=1.4).
+    reads per-cell (rho, c) from the aux field, euler(gamma=1.4).  An
+    unknown kernel and unexpected or missing parameters raise ValueError.
     """
-    if name == "advection":
-        u = float(params.pop("u"))
-        v = float(params.pop("v"))
-        _reject_extra(name, params)
-
-        def solve(direction, ql, qr, auxl=None, auxr=None):
-            return rp_advection(direction, ql, qr, u, v)
-
-        return Kernel(DESCRIPTORS[name], {"u": u, "v": v}, solve)
-
-    if name == "acoustics-const":
-        p = AcousticsParams(density=float(params.pop("rho")), bulk=float(params.pop("bulk")))
-        _reject_extra(name, params)
-
-        def solve(direction, ql, qr, auxl=None, auxr=None):
-            return rp_acoustics_const(direction, ql, qr, p)
-
-        return Kernel(DESCRIPTORS[name], {"rho": p.density, "bulk": p.bulk}, solve)
-
-    if name == "acoustics-var":
-        _reject_extra(name, params)
-
-        def solve(direction, ql, qr, auxl=None, auxr=None):
-            if auxl is None or auxr is None:
-                raise ValueError("acoustics-var requires aux data on both sides")
-            return rp_acoustics_var(direction, ql, qr, auxl, auxr)
-
-        return Kernel(DESCRIPTORS[name], {}, solve)
-
-    if name == "euler":
-        p = EulerParams(gamma=float(params.pop("gamma", 1.4)))
-        _reject_extra(name, params)
-
-        def solve(direction, ql, qr, auxl=None, auxr=None):
-            return rp_euler(direction, ql, qr, p)
-
-        return Kernel(DESCRIPTORS[name], {"gamma": p.gamma}, solve)
-
-    raise ValueError(f"unknown kernel {name!r}; available: {', '.join(KERNEL_NAMES)}")
-
-
-def _reject_extra(name: str, params: dict):
-    if params:
-        raise ValueError(f"unexpected parameters for {name}: {sorted(params)}")
+    binder = _BINDERS.get(name)
+    if binder is None:
+        raise ValueError(f"unknown kernel {name!r}; available: {', '.join(KERNEL_NAMES)}")
+    try:
+        bound = inspect.signature(binder).bind(**params)
+    except TypeError as exc:
+        raise ValueError(f"bad parameters for kernel {name}: {exc}") from None
+    bound.apply_defaults()
+    values = {k: float(v) for k, v in bound.arguments.items()}
+    return Kernel(DESCRIPTORS[name], values, binder(**values))

@@ -416,16 +416,15 @@ def equivalence_mismatches(nx: int = 128, ny: int = 96, steps: int = 10,
     combination labels.
     """
     from .bench import make_backend, strategy_name
-    from .driver import DEFAULT_IC, SimulationConfig, run
-    from .kernels import DESCRIPTORS
+    from .driver import DEFAULT_IC, SimulationConfig, run, unit_square_spec
+    from .kernels import KERNEL_NAMES
     from .sweep import CellWise, RowWise, Tiled
 
     if strategies is None:
         strategies = (RowWise(), CellWise(), Tiled(), Tiled(7, 5))
     mismatches = []
-    for kernel, desc in DESCRIPTORS.items():
-        spec = GridSpec(nx=nx, ny=ny, dx=1.0 / nx, dy=1.0 / ny,
-                        num_eqn=desc.num_eqn, num_aux=desc.num_aux)
+    for kernel in KERNEL_NAMES:
+        spec = unit_square_spec(kernel, nx, ny)
         reference = None
         for strategy in strategies:
             for backend_name, threads, grain in _EQUIV_BACKENDS:

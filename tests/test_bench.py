@@ -5,9 +5,9 @@ import statistics
 import pytest
 
 import wavesweep.bench as bench
-from wavesweep.bench import (BenchConfig, BenchGuardError, BenchRecord,
-                             CSV_HEADER, emit_csv, make_backend, parse_csv,
-                             run_bench, strategy_name)
+from wavesweep.bench import (STRATEGY_NAMES, BenchConfig, BenchGuardError,
+                             BenchRecord, CSV_HEADER, emit_csv, make_backend,
+                             make_strategy, parse_csv, run_bench, strategy_name)
 from wavesweep.parallel import Serial, StaticThreads, WorkStealing
 from wavesweep.sweep import CellWise, RowWise, Tiled
 
@@ -39,6 +39,12 @@ class TestConfigValidation:
             BenchConfig(**{**base, "repetitions": 0})
         with pytest.raises(ValueError):
             BenchConfig(**{**base, "sizes": ((0, 4),)})
+        with pytest.raises(ValueError):
+            BenchConfig(**{**base, "cfl": 1.5})
+        with pytest.raises(ValueError):
+            BenchConfig(**{**base, "grain": 0})
+        with pytest.raises(ValueError):
+            BenchConfig(**{**base, "sizes": ((1, 8),)})
 
 
 class TestRunBench:
@@ -160,3 +166,8 @@ def test_make_backend_and_strategy_names():
     assert strategy_name(RowWise()) == "rowwise"
     assert strategy_name(CellWise()) == "cellwise"
     assert strategy_name(Tiled(8, 8)) == "tiled"
+    for name in STRATEGY_NAMES:
+        assert strategy_name(make_strategy(name, (8, 4))) == name
+    assert make_strategy("tiled", (8, 4)) == Tiled(8, 4)
+    with pytest.raises(ValueError):
+        make_strategy("diagonal", (8, 4))

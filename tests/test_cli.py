@@ -48,6 +48,8 @@ class TestParseBench:
         ["bench", "--tile", "0x4"],
         ["--bogus"],
         [],
+        ["bench", "--warmup", "-1"],
+        ["bench", "--grain", "0"],
     ])
     def test_usage_errors_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -78,6 +80,16 @@ class TestParseRun:
         assert cfg.sim.t_final == 0.5 and cfg.sim.num_steps is None
         with pytest.raises(SystemExit) as exc:
             parse_args(["run", "--steps", "5", "--t-final", "0.5"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--steps", "-1"],
+        ["run", "--backend", "workstealing", "--grain", "0"],
+        ["run", "--cfl", "1.0"],
+    ])
+    def test_usage_errors_exit_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("nx,ny", [("1", "1"), ("8", "1"), ("1", "8")])

@@ -120,12 +120,18 @@ class TestAcousticsVar:
     def test_uniform_material_reduces_to_const_bitwise(self):
         rng = np.random.default_rng(7)
         ql, qr = rng.normal(size=(2, 3, 64))
-        aux = np.ones((2, 64))
-        var = rp_acoustics_var(Direction.X, ql, qr, aux, aux)
-        const = rp_acoustics_const(Direction.X, ql, qr, AcousticsParams(1.0, 1.0))
-        assert np.array_equal(var.amdq, const.amdq)
-        assert np.array_equal(var.apdq, const.apdq)
-        assert np.array_equal(var.waves, const.waves)
+        cases = [(1.0, 1.0, Direction.X)]
+        cases += [(*rng.uniform(0.1, 10.0, 2), d) for _ in range(20) for d in Direction]
+        for rho, bulk, direction in cases:
+            params = AcousticsParams(rho, bulk)
+            aux = np.empty((2, 64))
+            aux[0], aux[1] = rho, params.sound_speed
+            var = rp_acoustics_var(direction, ql, qr, aux, aux)
+            const = rp_acoustics_const(direction, ql, qr, params)
+            assert np.array_equal(var.amdq, const.amdq)
+            assert np.array_equal(var.apdq, const.apdq)
+            assert np.array_equal(var.waves, const.waves)
+            assert np.array_equal(var.speeds, const.speeds)
 
     def test_zero_jump_is_silent(self):
         q = [1.0, 2.0, 3.0]
@@ -354,6 +360,16 @@ class TestMakeKernel:
     def test_unexpected_parameter(self):
         with pytest.raises(ValueError, match="unexpected"):
             make_kernel("euler", gamma=1.4, mach=3)
+
+    @pytest.mark.parametrize("name,params,missing", [
+        ("advection", {}, "u"),
+        ("advection", {"u": 1.0}, "v"),
+        ("acoustics-const", {"rho": 1.0}, "bulk"),
+    ])
+    def test_missing_parameter(self, name, params, missing):
+        with pytest.raises(ValueError, match=name) as exc:
+            make_kernel(name, **params)
+        assert missing in str(exc.value)
 
     def test_acoustics_var_requires_aux(self):
         k = make_kernel("acoustics-var")

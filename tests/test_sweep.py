@@ -1,5 +1,6 @@
 import importlib
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -293,3 +294,9 @@ class TestApplyUpdate:
         for dt in (0.0, -0.5):
             with pytest.raises(ValueError, match="dt"):
                 apply_update(state, fluct, dt=dt)
+
+
+def test_package_attribute_sweep_is_the_module():
+    import wavesweep.sweep as module
+    assert isinstance(module, types.ModuleType)
+    assert module.sweep is sweep
