@@ -147,19 +147,43 @@ def _raise_first_bad(message: str, **sides: np.ndarray):
         raise KernelError(message.format(side=side), side=side, element=element)
 
 
-def _check_states(ql: np.ndarray, qr: np.ndarray, num_eqn: int) -> tuple[np.ndarray, np.ndarray]:
+def _check_states(ql: np.ndarray, qr: np.ndarray,
+                  num_eqn: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coerce one batch of state pairs and check it; returns (ql, qr, qr - ql).
+
+    Guard, then locate: a NaN or inf in either state makes its jump, and so
+    the jump's sum, non-finite, so one subtraction (whose result the solvers
+    reuse) and one reduction clear a finite batch.  Only a batch that trips
+    the guard is scanned for its lowest non-finite element; a finite jump that
+    merely overflows trips it too, the scan finds nothing and the call goes
+    on.  Floating-point warnings are off for the guard alone, so a bad input
+    raises KernelError and nothing else.
+    """
     ql = np.asarray(ql, dtype=float)
     qr = np.asarray(qr, dtype=float)
     if ql.shape != qr.shape or ql.ndim < 1 or ql.shape[0] != num_eqn:
         raise ValueError(
             f"states must share a ({num_eqn}, ...) shape, got {ql.shape} and {qr.shape}"
         )
-    _raise_first_bad("non-finite {side} state", left=~np.isfinite(ql), right=~np.isfinite(qr))
-    return ql, qr
+    with np.errstate(invalid="ignore", over="ignore"):
+        jump = qr - ql
+        total = jump.sum()
+    if not np.isfinite(total):
+        _raise_first_bad("non-finite {side} state",
+                         left=~np.isfinite(ql), right=~np.isfinite(qr))
+    return ql, qr, jump
 
 
 def _check_positive(what: str, **sides: np.ndarray):
-    """Raise at the lowest batch element where any side's `what` is not positive."""
+    """Raise at the lowest batch element where any side's `what` is not positive.
+
+    Guard, then locate: a batch whose minimum on every side exceeds the floor
+    passes on one reduction per side (an empty one has minimum +inf).  A NaN
+    minimum fails that comparison, so NaN, like any value at or below the
+    floor, sends the batch to the exact scan.
+    """
+    if all(np.min(arr, initial=np.inf) > ADMISSIBILITY_FLOOR for arr in sides.values()):
+        return
     masks = {name: ~(arr > ADMISSIBILITY_FLOOR)[np.newaxis] for name, arr in sides.items()}
     _raise_first_bad(f"nonpositive {what} on {{side}} side", **masks)
 
@@ -189,11 +213,10 @@ def rp_advection(direction: Direction, ql, qr, u: float, v: float) -> RiemannRes
 
     One wave W = qr - ql at speed u (X sweeps) or v (Y sweeps).
     """
-    ql, qr = _check_states(ql, qr, 1)
+    _, _, jump = _check_states(ql, qr, 1)
     if not (math.isfinite(u) and math.isfinite(v)):
         raise KernelError(f"non-finite advection velocity ({u}, {v})")
     s = u if direction is Direction.X else v
-    jump = qr - ql
     batch = jump.shape[1:]
     waves = jump[np.newaxis]
     speeds = np.full((1,) + batch, s)
@@ -202,12 +225,12 @@ def rp_advection(direction: Direction, ql, qr, u: float, v: float) -> RiemannRes
     return RiemannResult(waves, speeds, amdq, apdq)
 
 
-def _acoustics(direction: Direction, ql, qr, zl, zr, cl, cr) -> RiemannResult:
+def _acoustics(direction: Direction, jump, zl, zr, cl, cr) -> RiemannResult:
     """The acoustic Riemann solution shared by both acoustics solvers.
 
     Impedances Z_l, Z_r and sound speeds c_l, c_r are scalars or per-interface
-    arrays.  With jump components (dp, dn) in pressure and normal velocity,
-    the wave strengths are
+    arrays.  With components (dp, dn) of `jump` = qr - ql in pressure and
+    normal velocity, the wave strengths are
 
         a1 = (-dp + Z_r dn) / (Z_l + Z_r),  a2 = (dp + Z_l dn) / (Z_l + Z_r);
 
@@ -216,8 +239,8 @@ def _acoustics(direction: Direction, ql, qr, zl, zr, cl, cr) -> RiemannResult:
     The transverse velocity slot is untouched by both waves.
     """
     ni = _normal_slot(direction)
-    dp = qr[0] - ql[0]
-    dn = qr[ni] - ql[ni]
+    dp = jump[0]
+    dn = jump[ni]
     denom = zl + zr
     a1 = (-dp + zr * dn) / denom
     a2 = (dp + zl * dn) / denom
@@ -243,10 +266,10 @@ def rp_acoustics_const(direction: Direction, ql, qr, params: AcousticsParams) ->
     on both sides, so the strengths reduce to (-dp + Z dn) / (2 Z) and
     (dp + Z dn) / (2 Z) (Z + Z is 2 Z exactly).
     """
-    ql, qr = _check_states(ql, qr, 3)
+    _, _, jump = _check_states(ql, qr, 3)
     z = params.impedance
     c = params.sound_speed
-    return _acoustics(direction, ql, qr, z, z, c, c)
+    return _acoustics(direction, jump, z, z, c, c)
 
 
 def rp_acoustics_var(direction: Direction, ql, qr, auxl, auxr) -> RiemannResult:
@@ -257,7 +280,7 @@ def rp_acoustics_var(direction: Direction, ql, qr, auxl, auxr) -> RiemannResult:
     to the constant-coefficient solver when both sides carry the same
     material.
     """
-    ql, qr = _check_states(ql, qr, 3)
+    ql, qr, jump = _check_states(ql, qr, 3)
     auxl = np.asarray(auxl, dtype=float)
     auxr = np.asarray(auxr, dtype=float)
     if auxl.shape != ql[:2].shape or auxr.shape != qr[:2].shape:
@@ -266,7 +289,7 @@ def rp_acoustics_var(direction: Direction, ql, qr, auxl, auxr) -> RiemannResult:
         )
     _check_positive("density", left=auxl[0], right=auxr[0])
     _check_positive("sound speed", left=auxl[1], right=auxr[1])
-    return _acoustics(direction, ql, qr, auxl[0] * auxl[1], auxr[0] * auxr[1],
+    return _acoustics(direction, jump, auxl[0] * auxl[1], auxr[0] * auxr[1],
                       auxl[1], auxr[1])
 
 
@@ -280,7 +303,7 @@ def rp_euler(direction: Direction, ql, qr, params: EulerParams) -> RiemannResult
     rarefactions may be rendered as (entropy-violating) jumps; benchmarking
     kernel cost does not require shock admissibility.
     """
-    ql, qr = _check_states(ql, qr, 4)
+    ql, qr, jump = _check_states(ql, qr, 4)
     gamma = params.gamma
     ni = _normal_slot(direction)
     ti = 3 - ni
@@ -301,17 +324,13 @@ def rp_euler(direction: Direction, ql, qr, params: EulerParams) -> RiemannResult
     h_hat = (sq_l * (ql[3] + p_l) / rho_l + sq_r * (qr[3] + p_r) / rho_r) / wsum
     kin_hat = 0.5 * (u_hat * u_hat + v_hat * v_hat)
     c2 = (gamma - 1.0) * (h_hat - kin_hat)
-    bad = ~(c2 > 0.0)
-    if bad.any():
+    if not np.min(c2, initial=np.inf) > 0.0:  # guard, then locate, as _check_positive
         raise KernelError(
-            "Roe-average sound speed is not real", element=_first_bad(bad[np.newaxis])
+            "Roe-average sound speed is not real", element=_first_bad(~(c2 > 0.0)[np.newaxis])
         )
     c_hat = np.sqrt(c2)
 
-    d_rho = qr[0] - ql[0]
-    d_mn = qr[ni] - ql[ni]
-    d_mt = qr[ti] - ql[ti]
-    d_e = qr[3] - ql[3]
+    d_rho, d_mn, d_mt, d_e = jump[0], jump[ni], jump[ti], jump[3]
 
     a_shear = d_mt - v_hat * d_rho
     a_mid = (gamma - 1.0) / c2 * ((h_hat - u_hat * u_hat) * d_rho + u_hat * d_mn
@@ -427,12 +446,14 @@ def _bind_euler(gamma=1.4):
     return solve
 
 
-# kernel name -> binder; a binder's signature is the kernel's parameter list
+# kernel name -> (binder, its signature); a binder's signature is the kernel's
+# parameter list, inspected once here rather than on every make_kernel call
 _BINDERS = {
-    "advection": _bind_advection,
-    "acoustics-const": _bind_acoustics_const,
-    "acoustics-var": _bind_acoustics_var,
-    "euler": _bind_euler,
+    name: (binder, inspect.signature(binder))
+    for name, binder in (("advection", _bind_advection),
+                         ("acoustics-const", _bind_acoustics_const),
+                         ("acoustics-var", _bind_acoustics_var),
+                         ("euler", _bind_euler))
 }
 
 
@@ -443,11 +464,11 @@ def make_kernel(name: str, **params) -> Kernel:
     reads per-cell (rho, c) from the aux field, euler(gamma=1.4).  An
     unknown kernel and unexpected or missing parameters raise ValueError.
     """
-    binder = _BINDERS.get(name)
-    if binder is None:
+    if name not in _BINDERS:
         raise ValueError(f"unknown kernel {name!r}; available: {', '.join(KERNEL_NAMES)}")
+    binder, signature = _BINDERS[name]
     try:
-        bound = inspect.signature(binder).bind(**params)
+        bound = signature.bind(**params)
     except TypeError as exc:
         raise ValueError(f"bad parameters for kernel {name}: {exc}") from None
     bound.apply_defaults()

@@ -192,7 +192,8 @@ class _SweepContext:
             plus[:, ia:ib, a:b] = res.apdq
             if self.counter is not None:
                 self.counter.record(getattr(self.counter, d.value), ia, ib, a, b)
-            top = max(top, float(np.abs(res.speeds).max()))
+            # max |s| = max(max s, -min s), with no |s| temporary; max() keeps top over NaN
+            top = max(top, float(res.speeds.max()), -float(res.speeds.min()))
             del res  # free this block's result before the next block allocates its own
         return top
 

@@ -1,4 +1,7 @@
 
+import inspect
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,10 @@ from wavesweep.kernels import (DESCRIPTORS, AcousticsParams, Direction,
                                rp_acoustics_var, rp_advection, rp_euler)
 from wavesweep.oracles import (linear_matrix_apply, random_gas_states, rel_err,
                                wave_sum)
+
+KERNEL_PARAMS = {"advection": {"u": 1.5, "v": -0.5},
+                 "acoustics-const": {"rho": 2.0, "bulk": 3.0},
+                 "acoustics-var": {}, "euler": {}}
 
 SOD_L = np.array([1.0, 0.0, 0.0, 2.5])
 SOD_R = np.array([0.125, 0.0, 0.0, 0.25])
@@ -155,6 +162,14 @@ class TestAcousticsVar:
             rp_acoustics_var(Direction.X, [0.0] * 3, [1.0, 0, 0], [0.0, 1.0], [1.0, 1.0])
         with pytest.raises(KernelError, match="right"):
             rp_acoustics_var(Direction.X, [0.0] * 3, [1.0, 0, 0], [1.0, 1.0], [1.0, -3.0])
+        # a NaN fails the batch guard (min > floor) and is named by the scan
+        auxl = np.ones((2, 6))
+        auxr = np.ones((2, 6))
+        auxr[0, 4] = np.nan
+        auxl[0, 5] = 0.0
+        with pytest.raises(KernelError, match="density on right") as exc:
+            rp_acoustics_var(Direction.X, np.zeros((3, 6)), np.zeros((3, 6)), auxl, auxr)
+        assert exc.value.element == (4,)
 
     def test_xy_symmetry(self):
         rng = np.random.default_rng(13)
@@ -321,9 +336,7 @@ def test_results_do_not_depend_on_input_layout(name, direction):
     else:
         q = rng.normal(size=(neqn, nx, ny))
     aux = rng.uniform(0.5, 2.0, (2, nx, ny))
-    kernel = make_kernel(name, **{"advection": {"u": 1.5, "v": -0.5},
-                                  "acoustics-const": {"rho": 2.0, "bulk": 3.0},
-                                  "acoustics-var": {}, "euler": {}}[name])
+    kernel = make_kernel(name, **KERNEL_PARAMS[name])
     di, dj = (1, 0) if direction is Direction.X else (0, 1)
     left = (slice(None), slice(1 - di, 1 - di + w), slice(1 - dj, 1 - dj + h))
     right = (slice(None), slice(1, 1 + w), slice(1, 1 + h))
@@ -344,6 +357,47 @@ def test_results_do_not_depend_on_input_layout(name, direction):
     itemsize = planar.amdq.itemsize
     assert planar.amdq[0].strides[0] == itemsize
     assert planar.apdq[0].strides[0] == itemsize
+
+
+class TestGuardThenScan:
+    """A batch is checked by one cheap guard; the exact scan runs only when it trips."""
+
+    @pytest.mark.parametrize("name", ["advection", "acoustics-const", "acoustics-var", "euler"])
+    def test_inf_on_both_sides_raises_kernel_error_and_no_warning(self, name):
+        rng = np.random.default_rng(14)
+        neqn = DESCRIPTORS[name].num_eqn
+        if name == "euler":
+            ql, qr = (random_gas_states(rng, 20, 1.4).reshape(4, 5, 4) for _ in range(2))
+        else:
+            ql, qr = rng.normal(size=(2, neqn, 5, 4))
+        auxl, auxr = rng.uniform(0.5, 2.0, (2, 2, 5, 4))
+        ql[0, 2, 1] = qr[0, 2, 1] = np.inf  # inf - inf is NaN and warns "invalid"
+        qr[neqn - 1, 3, 0] = -np.inf        # a later element, right side only
+        kernel = make_kernel(name, **KERNEL_PARAMS[name])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(KernelError, match="non-finite left state") as exc:
+                kernel.solve(Direction.X, ql, qr, auxl, auxr)
+        assert exc.value.side == "left"
+        assert exc.value.element == (2, 1)
+
+    @pytest.mark.parametrize("name", ["advection", "acoustics-const", "acoustics-var", "euler"])
+    def test_empty_batch_passes(self, name):
+        neqn = DESCRIPTORS[name].num_eqn
+        empty, aux = np.empty((neqn, 0)), np.empty((2, 0))
+        res = make_kernel(name, **KERNEL_PARAMS[name]).solve(Direction.Y, empty, empty, aux, aux)
+        assert res.amdq.shape == res.apdq.shape == (neqn, 0)
+
+    def test_overflowing_finite_jumps_are_admissible(self):
+        # each jump overflows to inf, or is finite with a sum that overflows:
+        # the guard trips, the scan finds no bad state, and the solve goes on
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = rp_advection(Direction.X, [[-1e308, 0.0, 0.0]], [[1e308, 1e308, 1e308]],
+                               1.0, 0.0)
+            assert list(res.apdq[0]) == [np.inf, 1e308, 1e308]
+            res = rp_acoustics_const(Direction.X, [-1e308, 0.0, 0.0], [1e308, 0.0, 0.0],
+                                     AcousticsParams(1.0, 1.0))
+            assert np.isinf(res.waves[1, 0])
 
 
 class TestMakeKernel:
@@ -378,3 +432,12 @@ class TestMakeKernel:
 
     def test_euler_default_gamma(self):
         assert make_kernel("euler").params["gamma"] == 1.4
+
+    def test_binder_signatures_are_inspected_once(self, monkeypatch):
+        def no_signature(obj):
+            raise AssertionError("make_kernel inspected a binder per call")
+
+        monkeypatch.setattr(inspect, "signature", no_signature)
+        assert make_kernel("acoustics-const", rho=1, bulk=4).params == {"rho": 1.0, "bulk": 4.0}
+        with pytest.raises(ValueError, match="unexpected"):
+            make_kernel("euler", mach=3)

@@ -40,6 +40,16 @@ def test_uniform_state_yields_zero_fluctuations():
     assert (fluct.max_speed_x, fluct.max_speed_y) == (1.5, 2.0)
 
 
+def test_max_speeds_are_magnitudes_of_negative_velocities():
+    spec = GridSpec(nx=6, ny=5, dx=0.1, dy=0.1, num_eqn=1)
+    state, aux, _ = allocate_fields(spec)
+    state.interior[:] = np.arange(30.0).reshape(6, 5)
+    fill_ghost(state, PER, PER)
+    _, stats = sweep(state, aux, make_kernel("advection", u=-1.5, v=-0.5),
+                     Tiled(4, 3), StaticThreads(2))
+    assert (stats.max_speed_x, stats.max_speed_y) == (1.5, 0.5)
+
+
 def test_two_cell_periodic_row_hand_enumeration():
     # interior [2, 5] with u=1: wrap ghosts make interfaces 5|2, 2|5, 5|2
     spec = GridSpec(nx=2, ny=1, dx=1.0, dy=1.0, num_ghost=1, num_eqn=1)
@@ -157,6 +167,16 @@ def test_kernel_failure_reports_interface_coordinates(backend):
         aux = AuxField(spec)
         for strategy in (RowWise(), CellWise(), Tiled(4, 3)):
             assert _sweep_error(state, aux, strategy, backend) == (Direction.X, *cell)
+
+    # a NaN or +inf cell trips the finiteness guard and is located the same way
+    for cell, comp, value in (((7, 4), 0, np.nan), ((9, 4), 3, np.inf)):
+        spec, state = filled_gas_field(11, 6, seed=3)
+        state.data[comp, g + cell[0], g + cell[1]] = value
+        aux = AuxField(spec)
+        for strategy in (RowWise(), CellWise(), Tiled(4, 3)):
+            with pytest.raises(SweepError, match="non-finite right state") as exc:
+                sweep(state, aux, make_kernel("euler"), strategy, backend)
+            assert (exc.value.direction, exc.value.i, exc.value.j) == (Direction.X, *cell)
 
 
 def test_single_write_checked_mode(monkeypatch):
