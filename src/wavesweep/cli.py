@@ -53,7 +53,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--threads", type=int, default=None,
                        help="thread count for threaded backends")
     run_p.add_argument("--grain", type=int, default=None,
-                       help="workstealing leaf size in units (default: auto)")
+                       help="workstealing leaf size in units, honored exactly (default: "
+                            "ceil(units / 8 threads), rounded to whole tile bands when at "
+                            "least half a band)")
     run_p.add_argument("--cfl", type=float, default=0.9)
 
     bench_p = sub.add_parser("bench", help="time the kernel/grid/strategy/backend matrix")

@@ -7,7 +7,9 @@ shared immutable inputs, so any interleaving yields identical memory contents.
 Per-call return values are folded with an associative, commutative `combine`
 into a single accumulator on the calling thread.
 
-There is one scheduler.  A backend only fixes a thread count and a grain; the
+There is one scheduler.  A backend only fixes a thread count and a grain, from
+the unit count and the caller's alignment, the units in one band of a tiling
+(only WorkStealing's default grain uses it, rounding to whole bands); the
 units are cut into fixed leaves of `grain` units, which are handed out in
 ascending order, never split and never stolen.  When a leaf fails, no further
 leaf is started, and the failure of the lowest failing leaf is the one raised,
@@ -43,7 +45,7 @@ class ParallelError(RuntimeError):
 class Serial:
     """One leaf holding every unit, run on the calling thread."""
 
-    def threads_and_grain(self, n_units: int) -> tuple[int, int]:
+    def threads_and_grain(self, n_units: int, align: int = 1) -> tuple[int, int]:
         return 1, n_units
 
 
@@ -57,7 +59,7 @@ class StaticThreads:
         if self.n < 1:
             raise ValueError(f"thread count must be >= 1, got {self.n}")
 
-    def threads_and_grain(self, n_units: int) -> tuple[int, int]:
+    def threads_and_grain(self, n_units: int, align: int = 1) -> tuple[int, int]:
         return self.n, -(-n_units // self.n)
 
 
@@ -65,11 +67,14 @@ class StaticThreads:
 class WorkStealing:
     """n threads over leaves of `grain` units, taken by whichever worker is free.
 
-    grain=None picks about n_units / (8 n) units per leaf, which keeps the
+    grain=None picks ceil(n_units / (8 n)) units per leaf, which keeps the
     per-leaf overhead negligible while leaving each worker several leaves to
-    balance the load with; an explicit grain is honored exactly.  The name is
-    kept for the command line: idle workers take the next leaf in ascending
-    order rather than steal from one another.
+    balance the load with.  When that leaf is at least half a band of `align`
+    units, it is rounded to the nearest whole number of bands (at least one),
+    so a leaf of a tiling never cuts a band into pieces; narrower leaves are
+    kept, so wide bands still make enough leaves.  An explicit grain is
+    honored exactly.  The name is kept for the command line: idle workers
+    take the next leaf in ascending order rather than steal from one another.
     """
 
     n: int
@@ -81,8 +86,13 @@ class WorkStealing:
         if self.grain is not None and self.grain < 1:
             raise ValueError(f"grain must be >= 1, got {self.grain}")
 
-    def threads_and_grain(self, n_units: int) -> tuple[int, int]:
-        return self.n, self.grain or -(-n_units // (8 * self.n))
+    def threads_and_grain(self, n_units: int, align: int = 1) -> tuple[int, int]:
+        if self.grain is not None:
+            return self.n, self.grain
+        grain = -(-n_units // (8 * self.n))
+        if 2 * grain >= align:  # at least half a band: the nearest whole number of bands
+            grain = (2 * grain + align) // (2 * align) * align
+        return self.n, grain
 
 
 Backend = Serial | StaticThreads | WorkStealing
@@ -120,15 +130,19 @@ def _get_pool(n: int) -> ThreadPoolExecutor:
         return pool
 
 
-def for_each_unit(units: int, backend: Backend, body, *, combine=None, initial=None):
+def for_each_unit(units: int, backend: Backend, body, *, combine=None, initial=None,
+                  align: int = 1):
     """Invoke ``body(start, stop)`` over ranges covering every unit exactly once.
 
     The backend fixes a thread count and a grain, and the units are cut into
     the leaves [k*grain, min((k+1)*grain, units)): Serial makes one leaf,
     StaticThreads(n) the ceiling-block partition into at most n leaves, and
-    WorkStealing(n, grain) leaves of `grain` units.  With one thread or one
-    leaf, the leaves run in ascending order on the caller; otherwise up to
-    `threads` pool workers each take the next leaf from one shared counter.
+    WorkStealing(n, grain) leaves of `grain` units.  With grain=None,
+    WorkStealing's leaves default to ceil(units / 8n), rounded to whole bands
+    of `align` units when that leaf is at least half a band; Serial and
+    StaticThreads ignore `align`.  With one thread or one leaf, the leaves run
+    in ascending order on the caller; otherwise up to `threads` pool workers
+    each take the next leaf from one shared counter.
 
     Returns initial folded with the body return values, in ascending leaf
     order, under `combine` (associative and commutative), or initial when
@@ -142,7 +156,9 @@ def for_each_unit(units: int, backend: Backend, body, *, combine=None, initial=N
         raise ValueError(f"unit count must be >= 0, got {n_units}")
     if not isinstance(backend, Backend):
         raise TypeError(f"unknown backend {backend!r}")
-    threads, grain = backend.threads_and_grain(n_units)
+    if align < 1:
+        raise ValueError(f"alignment must be >= 1, got {align}")
+    threads, grain = backend.threads_and_grain(n_units, align)
     grain = max(1, grain)
     n_leaves = -(-n_units // grain)
     results = [None] * n_leaves

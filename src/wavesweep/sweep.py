@@ -12,7 +12,10 @@ tile_w x tile_h tiles set the unit of work distribution; CellWise and RowWise
 are presets of it, the tiling by whole interface rows ((nx+1) x 1), kept as
 names for the command line and the CSV.  Each run of tiles a worker takes is
 coalesced into at most three rectangles, and each rectangle is solved x before
-y, in kernel calls of up to _MAX_BLOCK interfaces.
+y, in kernel calls of up to _MAX_BLOCK interfaces.  The sweep hands the
+scheduler its band width (tiles per row of tiles) as the alignment, so a
+default work-stealing leaf of at least half a band is whole bands, one
+rectangle, rather than a band and a splinter of the next in two or three.
 """
 
 from __future__ import annotations
@@ -275,8 +278,8 @@ def sweep(state: StateField, aux: AuxField | None, kernel: Kernel,
         return sx, sy
 
     try:
-        max_sx, max_sy = for_each_unit(
-            tiles_i * tiles_j, backend, tile_run, combine=_pair_max, initial=(0.0, 0.0))
+        max_sx, max_sy = for_each_unit(tiles_i * tiles_j, backend, tile_run,
+                                       combine=_pair_max, initial=(0.0, 0.0), align=tiles_i)
     except ParallelError as exc:
         # surface the precise interface location when the body pinpointed one
         if isinstance(exc.__cause__, SweepError):

@@ -11,7 +11,7 @@ from wavesweep.parallel import (ParallelError, Serial, StaticThreads,
                                 for_each_unit)
 
 
-def collect_ranges(units, backend):
+def collect_ranges(units, backend, **kwargs):
     seen = []
     lock = threading.Lock()
 
@@ -19,7 +19,7 @@ def collect_ranges(units, backend):
         with lock:
             seen.append((a, b))
 
-    for_each_unit(units, backend, body)
+    for_each_unit(units, backend, body, **kwargs)
     return seen
 
 
@@ -155,3 +155,41 @@ def test_backend_validation():
         WorkStealing(2, 0)
     with pytest.raises(ValueError):
         WorkStealing(0)
+
+
+@pytest.mark.parametrize("units,align,grain", [
+    (289, 17, 17),   # default 19 is one band plus a splinter: round to one band
+    (130, 65, 9),    # band wider than twice the default leaf: keep the default
+    (60, 5, 5),      # default 4 is at least half a band: one band
+    (420, 17, 34),   # default 27 is 1.6 bands: two bands
+    (289, 1, 19),    # no alignment: the default as before
+    (0, 17, 0),
+])
+def test_default_grain_rounds_to_whole_bands(units, align, grain):
+    backend = WorkStealing(2)
+    assert backend.threads_and_grain(units, align) == (2, grain)
+    ranges = sorted(collect_ranges(units, backend, align=align))
+    assert_partition(ranges, units)
+    assert all(b - a == grain for a, b in ranges[:-1])
+    if grain % align == 0:
+        assert all(a % align == 0 for a, _ in ranges)
+
+
+def test_explicit_grain_ignores_alignment():
+    assert WorkStealing(2, grain=19).threads_and_grain(289, 17) == (2, 19)
+    ranges = sorted(collect_ranges(289, WorkStealing(2, grain=19), align=17))
+    assert_partition(ranges, 289)
+    assert [b - a for a, b in ranges] == [19] * 15 + [4]
+
+
+@pytest.mark.parametrize("backend", [Serial(), StaticThreads(2), StaticThreads(3)])
+def test_serial_and_static_ignore_alignment(backend):
+    for units, align in ((289, 17), (130, 65), (10, 4)):
+        assert backend.threads_and_grain(units, align) == backend.threads_and_grain(units)
+        assert (sorted(collect_ranges(units, backend, align=align))
+                == sorted(collect_ranges(units, backend)))
+
+
+def test_alignment_must_be_positive():
+    with pytest.raises(ValueError, match="alignment"):
+        for_each_unit(10, WorkStealing(2), lambda a, b: None, align=0)

@@ -5,6 +5,7 @@ import types
 import numpy as np
 import pytest
 
+from wavesweep.driver import initial_condition, unit_square_spec
 from wavesweep.grid import (AuxField, BoundaryCondition, FluctuationField, GridSpec,
                             StateField, allocate_fields, fill_ghost)
 from wavesweep.kernels import Direction, Kernel, make_kernel
@@ -91,8 +92,10 @@ def test_strategy_equivalence_bitwise(strategy):
 
 
 @pytest.mark.parametrize("backend", BACKENDS[1:])
-@pytest.mark.parametrize("strategy", [RowWise(), CellWise(), Tiled(8, 8)])
+@pytest.mark.parametrize("strategy", [RowWise(), CellWise(), Tiled(8, 8), Tiled(4, 1)])
 def test_backend_equivalence_bitwise(strategy, backend):
+    # Tiled(4, 1) on 19x11 is 5 x 12 tiles: WorkStealing(2)'s default leaf of
+    # 4 tiles is rounded to one band of 5
     spec, state = filled_gas_field(19, 11, seed=2)
     aux = AuxField(spec)
     kernel = make_kernel("euler")
@@ -189,11 +192,15 @@ def test_single_write_checked_mode(monkeypatch):
 
 
 class _CallCounts:
-    """A Kernel whose solve calls are counted in total and per parallel leaf."""
+    """A Kernel whose solve calls are counted in total and per parallel leaf.
+
+    `leaves` records the unit range of each leaf the sweep's region ran.
+    """
 
     def __init__(self, kernel: Kernel):
         self.total = 0
         self.per_leaf: list[int] = []
+        self.leaves: list[tuple[int, int]] = []
         self._lock = threading.Lock()
         self._local = threading.local()
 
@@ -211,6 +218,7 @@ class _CallCounts:
             result = body(a, b)
             with self._lock:
                 self.per_leaf.append(self._local.calls)
+                self.leaves.append((a, b))
             return result
 
         return for_each_unit(units, backend, leaf, **kwargs)
@@ -240,6 +248,34 @@ def test_tiled_leaf_coalesces_tiles(monkeypatch, backend):
     sweep(state, aux, counts.kernel, Tiled(8, 8), backend)
     assert counts.per_leaf and max(counts.per_leaf) <= 6
     assert sum(counts.per_leaf) == counts.total
+
+
+def test_default_leaves_are_whole_tile_bands(monkeypatch):
+    # 128^2 in 8x8 tiles is the acoustics-tiled benchmark's 17 x 17 tiling;
+    # checked mode asserts that each interface is written exactly once
+    monkeypatch.setenv("WAVESWEEP_CHECKED", "1")
+    spec = unit_square_spec("acoustics-var", 128, 128)
+    state, aux, _ = initial_condition("acoustics-var-interface", spec)
+    state.interior[...] *= 1.0 + 1e-3 * np.random.default_rng(11).random((128, 128))
+    fill_ghost(state, PER, PER)
+    fill_ghost(aux, PER, PER)
+    kernel = make_kernel("acoustics-var")
+    ref, ref_stats = sweep(state, aux, kernel, Tiled(8, 8), Serial())
+    sweep_mod = importlib.import_module("wavesweep.sweep")
+    for backend, sizes in ((WorkStealing(2), [17] * 17),
+                           (WorkStealing(2, grain=19), [19] * 15 + [4])):
+        counts = _CallCounts(kernel)
+        with monkeypatch.context() as m:
+            m.setattr(sweep_mod, "for_each_unit", counts.counting_for_each_unit)
+            out, stats = sweep(state, aux, counts.kernel, Tiled(8, 8), backend)
+        leaves = sorted(counts.leaves)
+        assert [b - a for a, b in leaves] == sizes
+        if backend.grain is None:
+            assert all(a % 17 == 0 for a, _ in leaves)
+        for x, y in ((ref.x_minus, out.x_minus), (ref.x_plus, out.x_plus),
+                     (ref.y_minus, out.y_minus), (ref.y_plus, out.y_plus)):
+            assert np.array_equal(x, y)
+        assert stats == ref_stats
 
 
 class TestApplyUpdate:
