@@ -14,7 +14,7 @@ from .parallel import (Backend, ParallelError, Serial, StaticThreads,
 from .sweep import (CellWise, RowWise, Strategy, SweepError, SweepStats, Tiled,
                     apply_update)
 from .driver import (DEFAULT_IC, SimulationConfig, StepLimitError, StepReport,
-                     TimestepController, choose_dt, initial_condition, run,
-                     step)
+                     TimestepController, choose_dt, initial_condition, integrate,
+                     run, step)
 
 __version__ = "0.1.0"

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .bench import (BACKEND_NAMES, STRATEGY_NAMES, BenchConfig, BenchGuardError,
                     emit_csv, make_backend, make_strategy, run_bench)
-from .driver import (DEFAULT_IC, IC_KERNEL, SimulationConfig, StepLimitError,
-                     TimestepController, run, unit_square_spec)
+from .driver import (DEFAULT_IC, IC_KERNEL, SimulationConfig, StepLimitError, StepReport,
+                     TimestepController, integrate, unit_square_spec)
 from .grid import GridSpec
 from .kernels import KERNEL_NAMES
 from .oracles import verify_suite
@@ -30,6 +30,22 @@ class RunConfig:
 @dataclass
 class VerifyConfig:
     seed: int
+
+
+@dataclass
+class _RunTotals:
+    """Running sums over a run's step reports, which are not kept."""
+
+    steps: int = 0
+    t: float = 0.0
+    sweep_ms: float = 0.0
+    update_ms: float = 0.0
+
+    def add(self, rep: StepReport):
+        self.steps += 1
+        self.t += rep.dt
+        self.sweep_ms += rep.sweep_ms
+        self.update_ms += rep.update_ms
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -174,18 +190,16 @@ def parse_args(argv) -> BenchConfig | RunConfig | VerifyConfig:
 
 
 def _do_run(cfg: RunConfig) -> int:
+    tot = _RunTotals()
     try:
-        state, reports = run(cfg.sim, cfg.ctl)
+        state = integrate(cfg.sim, tot.add, cfg.ctl)
     except (SweepError, StepLimitError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
-    n = len(reports)
-    t = sum(r.dt for r in reports)
-    sweep_ms = sum(r.sweep_ms for r in reports)
-    update_ms = sum(r.update_ms for r in reports)
+    n = tot.steps
     print(f"kernel={cfg.sim.kernel} ic={cfg.sim.ic} grid={cfg.sim.spec.nx}x{cfg.sim.spec.ny}")
-    print(f"steps={n} t={t:.6g} sweep_ms={sweep_ms:.3f} update_ms={update_ms:.3f}"
-          + (f" ms_per_step={(sweep_ms + update_ms) / n:.3f}" if n else ""))
+    print(f"steps={n} t={tot.t:.6g} sweep_ms={tot.sweep_ms:.3f} update_ms={tot.update_ms:.3f}"
+          + (f" ms_per_step={(tot.sweep_ms + tot.update_ms) / n:.3f}" if n else ""))
     sums = ", ".join(f"{s:.9g}" for s in state.interior.sum(axis=(1, 2)))
     print(f"component interior sums: {sums}")
     return 0

@@ -6,6 +6,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -266,31 +267,47 @@ def run(config: SimulationConfig, ctl: TimestepController | None = None
         ) -> tuple[StateField, list[StepReport]]:
     """Integrate from the named initial condition to t_final or num_steps.
 
-    The last step's dt is truncated to land on t_final exactly.  A t_final
-    run stops with StepLimitError after MAX_STEPS steps.  A kernel failure
-    raises SweepError carrying the step index and sim time as well as the
-    interface.
+    Returns the final state and every step's report; see `integrate`, which
+    runs the steps and raises the same errors.
+    """
+    reports: list[StepReport] = []
+    state = integrate(config, reports.append, ctl)
+    return state, reports
+
+
+def integrate(config: SimulationConfig, on_step: Callable[[StepReport], None],
+              ctl: TimestepController | None = None) -> StateField:
+    """Step from the named initial condition to t_final or num_steps.
+
+    Each step's report goes to `on_step` as the step ends; none is kept here,
+    so a caller that only sums the reports holds constant memory however long
+    the run.  The last step's dt is truncated to land on t_final exactly.  A
+    t_final run stops with StepLimitError after MAX_STEPS steps.  A kernel
+    failure raises SweepError carrying the step index and sim time as well as
+    the interface.  Returns the final state.
     """
     ctl = ctl if ctl is not None else TimestepController()
     state, aux, _ = initial_condition(config.ic, config.spec)
-    reports: list[StepReport] = []
+    steps = 0
     t = 0.0
 
     try:
         if config.num_steps is not None:
             for _ in range(config.num_steps):
                 state, rep = step(state, aux, config, ctl)
-                reports.append(rep)
+                on_step(rep)
+                steps += 1
                 t += rep.dt
         else:
             tol = 1e-14 * max(1.0, config.t_final)
             while config.t_final - t > tol:
-                if len(reports) >= MAX_STEPS:
-                    raise StepLimitError(len(reports), t, config.t_final)
+                if steps >= MAX_STEPS:
+                    raise StepLimitError(steps, t, config.t_final)
                 state, rep = step(state, aux, config, ctl, remaining=config.t_final - t)
-                reports.append(rep)
+                on_step(rep)
+                steps += 1
                 t += rep.dt
     except SweepError as err:
         raise SweepError(err.direction, err.i, err.j, err.cause,
-                         step=len(reports), time=t) from err
-    return state, reports
+                         step=steps, time=t) from err
+    return state

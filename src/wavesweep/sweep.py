@@ -12,10 +12,18 @@ tile_w x tile_h tiles set the unit of work distribution; CellWise and RowWise
 are presets of it, the tiling by whole interface rows ((nx+1) x 1), kept as
 names for the command line and the CSV.  Each run of tiles a worker takes is
 coalesced into at most three rectangles, and each rectangle is solved x before
-y, in kernel calls of up to _MAX_BLOCK interfaces.  The sweep hands the
-scheduler its band width (tiles per row of tiles) as the alignment, so a
-default work-stealing leaf of at least half a band is whole bands, one
-rectangle, rather than a band and a splinter of the next in two or three.
+y, in kernel calls of whole i-ranges.  The sweep hands the scheduler its band
+width (tiles per row of tiles) as the alignment, so a default work-stealing
+leaf of at least half a band is whole bands, one rectangle, rather than a band
+and a splinter of the next in two or three.
+
+The call size depends on how many threads the region gets.  On more than one,
+calls are up to _MAX_BLOCK (32k) interfaces, which keeps interpreter-lock
+hand-offs between the threads rare.  On one thread there is no lock to share,
+so calls are cut to fit the cache instead: the most interfaces whose result
+fits 1.5 MiB (_serial_block), 8548 for Euler, 14043 for acoustics and the
+32k cap for advection.  Kernels are pointwise, so only call boundaries move
+and the fluctuations are bitwise the same either way.
 """
 
 from __future__ import annotations
@@ -29,18 +37,38 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import AuxField, FluctuationField, StateField
-from .kernels import Direction, Kernel, KernelError
+from .kernels import Direction, Kernel, KernelDescriptor, KernelError
 from .parallel import Backend, ParallelError, Serial, for_each_unit
 
-# interfaces per kernel call; a leaf's tiles are coalesced into calls of up to
-# this size.  Not a cache size: one 32k-interface Euler call peaks near 57
-# temporary planes (~14 MiB, past a 4 MiB L2).  The cap trades the size of
-# those temporaries against interpreter-lock hand-offs between calls; at 8k or
-# 4k, 2-thread Euler and advection steps ran 25-87% slower on a 2-core host.
-# It also bounds the update's temporaries (apply_update walks rows in chunks
-# of at most this many cells), and it sets the malloc thresholds pinned below.
-# Chunking never changes a computed value.
+# interfaces per kernel call when more than one thread runs the sweep, and the
+# cap on every call.  Sized for the interpreter lock, not a cache: one
+# 32k-interface Euler call peaks near 57 temporary planes (~14 MiB, far past a
+# 2 MiB per-core L2), but smaller calls mean more lock hand-offs between the
+# threads.  On a 2-core host, 2-thread steps ran 25-87% slower at 8k or 4k, and
+# 2-thread sweeps 12% (acoustics-tiled), 20% (euler-cellwise) and 52%
+# (advection-large) slower at 16k.  It also bounds the update's
+# temporaries (apply_update walks rows in chunks of at most this many cells),
+# and it sets the malloc thresholds pinned below.  Chunking never changes a
+# computed value.
 _MAX_BLOCK = 1 << 15
+
+# result bytes of one kernel call when one thread runs the sweep.  A call's
+# temporaries are a few times its result: at this budget an Euler call peaks at
+# 3.6 MiB, near a 2 MiB per-core L2, against 14.3 MiB at _MAX_BLOCK.  The Euler
+# kernel microbenchmark was fastest at 2^13-2^14 interfaces per call, and the
+# 8.5k-interface calls cut euler-cellwise's serial step from 139.8 to 116.9 ms
+# (BENCH_12.json).
+_SERIAL_RESULT_BUDGET = 3 << 19  # 1.5 MiB
+
+
+def _serial_block(desc: KernelDescriptor) -> int:
+    """Interfaces per kernel call for a one-thread sweep: the most whose result
+    (waves, speeds, amdq and apdq, float64) fits _SERIAL_RESULT_BUDGET, capped
+    at _MAX_BLOCK.  Euler's 184 B per interface gives 8548, acoustics' 112 B
+    14043, and advection's 32 B the cap."""
+    per_iface = 8 * (desc.num_waves * desc.num_eqn + desc.num_waves + 2 * desc.num_eqn)
+    return min(_MAX_BLOCK, _SERIAL_RESULT_BUDGET // per_iface)
+
 
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
@@ -53,12 +81,14 @@ def _pin_malloc_thresholds():
     By default glibc serves large arrays from fresh mmaps and trims freed heap
     top, so every kernel call faults its temporaries in again; its adaptive
     threshold only rises after a large free, which a step that reuses its
-    fluctuation field never makes.  4 MiB is above the largest array one call
-    creates at the _MAX_BLOCK cap (Euler's waves, 3 x 4 x 32768 x 8 B = 3 MiB);
-    32 MiB is above one Euler call's peak temporaries (about 14 MiB, measured
-    with tracemalloc), so a freed call's memory stays for the next call.
-    Larger arrays, such as big grids' fields, still come from mmap.
-    Other C libraries are left alone.
+    fluctuation field never makes.  The thresholds are sized for the largest
+    call, a multi-thread sweep's _MAX_BLOCK one; a one-thread sweep's smaller
+    calls (_serial_block) fit them with room to spare.  4 MiB is above the
+    largest array one call creates at the cap (Euler's waves, 3 x 4 x 32768 x
+    8 B = 3 MiB); 32 MiB is above one Euler call's peak temporaries (about
+    14 MiB at the cap, measured with tracemalloc), so a freed call's memory
+    stays for the next call.  Larger arrays, such as big grids' fields, still
+    come from mmap.  Other C libraries are left alone.
     """
     if platform.libc_ver()[0] != "glibc":
         return
@@ -158,19 +188,20 @@ class _SweepContext:
     """Shared read-only inputs plus output slots for the strategy bodies."""
 
     def __init__(self, state: StateField, aux: AuxField | None, kernel: Kernel,
-                 fluct: FluctuationField, counter: _WriteCounter | None):
+                 fluct: FluctuationField, counter: _WriteCounter | None, block: int):
         self.spec = state.spec
         self.q = state.data
         self.aux = aux.data if (aux is not None and aux.num_comp) else None
         self.kernel = kernel
         self.fluct = fluct
         self.counter = counter
+        self.block = block
 
     def solve(self, d: Direction, ia: int, ib: int, ja: int, jb: int) -> float:
         """Solve d-interfaces (i, j) for i in [ia, ib), j in [ja, jb).
 
         Interface (i, j) lies between cell (i, j) and its lower neighbour
-        along d; blocks of whole i-ranges keep each call under _MAX_BLOCK.
+        along d; blocks of whole i-ranges keep each call under self.block.
         """
         if ia >= ib or ja >= jb:
             return 0.0
@@ -178,7 +209,7 @@ class _SweepContext:
         di, dj = (1, 0) if d is Direction.X else (0, 1)
         minus = getattr(self.fluct, f"{d.value}_minus")
         plus = getattr(self.fluct, f"{d.value}_plus")
-        step = max(1, _MAX_BLOCK // (ib - ia))
+        step = max(1, self.block // (ib - ia))
         top = 0.0
         for a in range(ja, jb, step):
             b = min(a + step, jb)
@@ -264,9 +295,11 @@ def sweep(state: StateField, aux: AuxField | None, kernel: Kernel,
         raise ValueError(f"out is a fluctuation field for {out.spec}, grid is {spec}")
     fluct = out if out is not None else FluctuationField(spec, zeroed=False)
     counter = _WriteCounter(nx, ny) if _checked() else None
-    ctx = _SweepContext(state, aux, kernel, fluct, counter)
     tiles_i = -(-(nx + 1) // tile_w)
     tiles_j = -(-(ny + 1) // tile_h)
+    threads = backend.threads_and_grain(tiles_i * tiles_j, tiles_i)[0]
+    block = _MAX_BLOCK if threads > 1 else _serial_block(kernel.descriptor)
+    ctx = _SweepContext(state, aux, kernel, fluct, counter, block)
 
     def tile_run(t0, t1):
         sx = sy = 0.0

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import pytest
 
@@ -149,6 +150,21 @@ class TestMain:
         assert len(lines) == 1
         assert "after 4 steps" in lines[0] and "t_final=1000000000" in lines[0]
         assert re.search(r" at t=0\.\d+", lines[0])
+
+    def test_capped_run_keeps_no_report_per_step(self, monkeypatch, capsys):
+        # 20k StepReports would hold about 5.6 MB (~280 B each); the CLI keeps
+        # running sums, so the traced peak stays at the grid's own small size
+        monkeypatch.setattr(driver, "MAX_STEPS", 20_000)
+        tracemalloc.start()
+        try:
+            code = main(["run", "--kernel", "advection", "--nx", "8", "--ny", "8",
+                         "--t-final", "1e9"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert "after 20000 steps" in capsys.readouterr().err
+        assert peak < 1 << 20
 
     def test_run_kernel_failure_exits_1_with_location(self, poison_step, capsys):
         poison_step(2)

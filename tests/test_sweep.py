@@ -278,6 +278,40 @@ def test_default_leaves_are_whole_tile_bands(monkeypatch):
         assert stats == ref_stats
 
 
+def test_serial_call_size_moves_only_call_boundaries(monkeypatch):
+    # 160x160 Euler has 161-interface rows.  One thread calls the kernel on
+    # 8548 // 161 = 53 rows at a time (X rows 0-52, 53-105, 106-158, 159;
+    # Y rows 0-52, ..., 159-160), so a serial sweep makes 4 + 4 calls; on
+    # two threads every leaf is under _MAX_BLOCK and makes one call per
+    # direction.
+    spec, state = filled_gas_field(160, 160, seed=12)
+    aux = AuxField(spec)
+    kernel = make_kernel("euler")
+    sweep_mod = importlib.import_module("wavesweep.sweep")
+    fields = {}
+    for backend, calls in ((Serial(), [8]), (StaticThreads(2), [2] * 2),
+                           (WorkStealing(2), [2] * 15)):
+        counts = _CallCounts(kernel)
+        with monkeypatch.context() as m:
+            m.setattr(sweep_mod, "for_each_unit", counts.counting_for_each_unit)
+            fields[backend] = sweep(state, aux, counts.kernel, CellWise(), backend)
+        assert counts.per_leaf == calls
+    ref, ref_stats = fields[Serial()]
+    for out, stats in fields.values():
+        for a, b in ((ref.x_minus, out.x_minus), (ref.x_plus, out.x_plus),
+                     (ref.y_minus, out.y_minus), (ref.y_plus, out.y_plus)):
+            assert np.array_equal(a, b)
+        assert stats == ref_stats
+
+    # cells on the rows either side of the first serial call boundary
+    g = spec.num_ghost
+    for cell in ((7, 52), (150, 53)):
+        bad = state.copy()
+        bad.data[0, g + cell[0], g + cell[1]] = -1.0
+        for backend in fields:
+            assert _sweep_error(bad, aux, CellWise(), backend) == (Direction.X, *cell)
+
+
 class TestApplyUpdate:
     def test_zero_fluctuations_leave_state_alone(self):
         spec, state = filled_gas_field(6, 5, seed=5)
