@@ -21,9 +21,8 @@ The call size depends on how many threads the region gets.  On more than one,
 calls are up to _MAX_BLOCK (32k) interfaces, which keeps interpreter-lock
 hand-offs between the threads rare.  On one thread there is no lock to share,
 so calls are cut to fit the cache instead: the most interfaces whose result
-fits 1.5 MiB (_serial_block), 8548 for Euler, 14043 for acoustics and the
-32k cap for advection.  Kernels are pointwise, so only call boundaries move
-and the fluctuations are bitwise the same either way.
+fits 1.5 MiB (_serial_block).  Kernels are pointwise, so only call boundaries
+move and the fluctuations are bitwise the same either way.
 """
 
 from __future__ import annotations
