@@ -23,6 +23,15 @@ hand-offs between the threads rare.  On one thread there is no lock to share,
 so calls are cut to fit the cache instead: the most interfaces whose result
 fits 1.5 MiB (_serial_block).  Kernels are pointwise, so only call boundaries
 move and the fluctuations are bitwise the same either way.
+
+A kernel with a cell pass (kernels.CELL_PASSES, today Euler's) has each row
+block of a rectangle computed once per cell: the pass covers the cells the
+block's x- and y-calls read, plus one halo column and row, and hands them to
+both calls in the aux slots.  It is guarded by one reduction each for density,
+pressure and finiteness; a block that trips the guard, or a call that raises,
+sends the whole rectangle to the plain calls, which compute the same bits and
+raise the same located errors.  The planes are block-sized temporaries, so
+memory stays flat.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import AuxField, FluctuationField, StateField
-from .kernels import Direction, Kernel, KernelDescriptor, KernelError
+from .kernels import CELL_PASSES, Direction, Kernel, KernelDescriptor, KernelError
 from .parallel import Backend, ParallelError, Serial, for_each_unit
 
 # interfaces per kernel call when more than one thread runs the sweep, and the
@@ -192,9 +201,26 @@ class _SweepContext:
         self.q = state.data
         self.aux = aux.data if (aux is not None and aux.num_comp) else None
         self.kernel = kernel
+        self.cell_pass = CELL_PASSES.get(kernel.descriptor.name)
         self.fluct = fluct
         self.counter = counter
         self.block = block
+
+    def rect(self, ia: int, ib: int, ja: int, jb: int) -> tuple[float, float]:
+        """Solve the x- and y-interfaces of a rectangle of whole tiles.
+
+        A kernel with a cell pass solves it block by block, each block's cells
+        computed once for both directions.  A block whose cells fail the pass's
+        guard, or a call that raises, sends the whole rectangle to the plain
+        path, x before y, which raises exactly what it would have raised alone.
+        """
+        nx, ny = self.spec.nx, self.spec.ny
+        if self.cell_pass is not None:
+            speeds = self._rect_with_cells(ia, ib, ja, jb)
+            if speeds is not None:
+                return speeds
+        return (self.solve(Direction.X, ia, ib, ja, min(jb, ny)),
+                self.solve(Direction.Y, ia, min(ib, nx), ja, jb))
 
     def solve(self, d: Direction, ia: int, ib: int, ja: int, jb: int) -> float:
         """Solve d-interfaces (i, j) for i in [ia, ib), j in [ja, jb).
@@ -206,29 +232,73 @@ class _SweepContext:
             return 0.0
         g = self.spec.num_ghost
         di, dj = (1, 0) if d is Direction.X else (0, 1)
-        minus = getattr(self.fluct, f"{d.value}_minus")
-        plus = getattr(self.fluct, f"{d.value}_plus")
         step = max(1, self.block // (ib - ia))
         top = 0.0
         for a in range(ja, jb, step):
             b = min(a + step, jb)
-            left = (slice(None), slice(g + ia - di, g + ib - di), slice(g + a - dj, g + b - dj))
-            right = (slice(None), slice(g + ia, g + ib), slice(g + a, g + b))
             auxl = auxr = None
             if self.aux is not None:
-                auxl, auxr = self.aux[left], self.aux[right]
+                auxl = self.aux[:, g + ia - di : g + ib - di, g + a - dj : g + b - dj]
+                auxr = self.aux[:, g + ia : g + ib, g + a : g + b]
             try:
-                res = self.kernel.solve(d, self.q[left], self.q[right], auxl, auxr)
+                top = max(top, self._call(d, ia, ib, a, b, auxl, auxr))
             except KernelError as err:
                 raise _locate(d, err, ia, a) from err
-            minus[:, ia:ib, a:b] = res.amdq
-            plus[:, ia:ib, a:b] = res.apdq
             if self.counter is not None:
                 self.counter.record(getattr(self.counter, d.value), ia, ib, a, b)
-            # max |s| = max(max s, -min s), with no |s| temporary; max() keeps top over NaN
-            top = max(top, float(res.speeds.max()), -float(res.speeds.min()))
-            del res  # free this block's result before the next block allocates its own
         return top
+
+    def _rect_with_cells(self, ia, ib, ja, jb) -> tuple[float, float] | None:
+        """rect() through the kernel's cell pass; None to fall back.
+
+        Each block of rows [a, b) computes the cells its x- and y-calls read,
+        i in [ia - 1, ib) and j in [a - 1, b): one halo column and row.  Its
+        writes are counted only once the whole rectangle has succeeded, since
+        a fallback writes every slot again.
+        """
+        nx, ny, g = self.spec.nx, self.spec.ny, self.spec.num_ghost
+        iy = min(ib, nx) - ia  # y-interface columns, one fewer on the right edge
+        step = max(1, self.block // (ib - ia))
+        sx = sy = 0.0
+        calls = []
+        for a in range(ja, jb, step):
+            b = min(a + step, jb)
+            cells = self.cell_pass(self.q[:, g + ia - 1 : g + ib, g + a - 1 : g + b],
+                                   **self.kernel.params)
+            if cells is None:
+                return None
+            bx = min(b, ny)
+            try:
+                if a < bx:
+                    rows = slice(1, bx - a + 1)
+                    sx = max(sx, self._call(Direction.X, ia, ib, a, bx,
+                                            cells[0 : ib - ia, rows], cells[1:, rows]))
+                    calls.append((Direction.X, ia, ib, a, bx))
+                if iy > 0:
+                    cols = slice(1, iy + 1)
+                    sy = max(sy, self._call(Direction.Y, ia, ia + iy, a, b,
+                                            cells[cols, 0 : b - a], cells[cols, 1:]))
+                    calls.append((Direction.Y, ia, ia + iy, a, b))
+            except KernelError:
+                return None
+            del cells  # free this block's planes before the next block makes its own
+        if self.counter is not None:
+            for d, *span in calls:
+                self.counter.record(getattr(self.counter, d.value), *span)
+        return sx, sy
+
+    def _call(self, d: Direction, ia: int, ib: int, a: int, b: int, auxl, auxr) -> float:
+        """One kernel call on d-interfaces [ia, ib) x [a, b), stored; returns max |s|."""
+        g = self.spec.num_ghost
+        di, dj = (1, 0) if d is Direction.X else (0, 1)
+        left = (slice(None), slice(g + ia - di, g + ib - di), slice(g + a - dj, g + b - dj))
+        right = (slice(None), slice(g + ia, g + ib), slice(g + a, g + b))
+        res = self.kernel.solve(d, self.q[left], self.q[right], auxl, auxr)
+        getattr(self.fluct, f"{d.value}_minus")[:, ia:ib, a:b] = res.amdq
+        getattr(self.fluct, f"{d.value}_plus")[:, ia:ib, a:b] = res.apdq
+        # max |s| = max(max s, -min s), with no |s| temporary; NaN speeds give NaN,
+        # which the callers' max(top, ...) passes over
+        return max(float(res.speeds.max()), -float(res.speeds.min()))
 
 
 def _locate(direction: Direction, err: KernelError, i_base: int, j_base: int) -> SweepError:
@@ -305,8 +375,8 @@ def sweep(state: StateField, aux: AuxField | None, kernel: Kernel,
         for ti0, ti1, tj0, tj1 in _tile_rects(t0, t1, tiles_i):
             ia, ib = ti0 * tile_w, min(ti1 * tile_w, nx + 1)
             ja, jb = tj0 * tile_h, min(tj1 * tile_h, ny + 1)
-            sx = max(sx, ctx.solve(Direction.X, ia, ib, ja, min(jb, ny)))
-            sy = max(sy, ctx.solve(Direction.Y, ia, min(ib, nx), ja, jb))
+            rx, ry = ctx.rect(ia, ib, ja, jb)
+            sx, sy = max(sx, rx), max(sy, ry)
         return sx, sy
 
     try:

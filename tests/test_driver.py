@@ -222,6 +222,39 @@ class TestStep:
                              text=True, timeout=120, check=True)
         assert float(out.stdout) < 256, f"{out.stdout.strip()} minor faults per warm step"
 
+    @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                        reason="the malloc thresholds are pinned only under glibc on Linux")
+    @pytest.mark.parametrize("backend", ["Serial()", "StaticThreads(2)"])
+    def test_warm_euler_steps_keep_cell_planes_block_sized(self, backend):
+        # the sweep's cell planes are block-sized: at 384^2, grid-sized planes
+        # in one array (4 x 386^2 x 8 B, about 4.8 MB) would be above the 4 MiB
+        # mmap threshold and fault in again every step
+        script = textwrap.dedent(f"""
+            import resource
+            from wavesweep.driver import (SimulationConfig, TimestepController,
+                                          initial_condition, step)
+            from wavesweep.grid import GridSpec
+            from wavesweep.parallel import Serial, StaticThreads
+
+            spec = GridSpec(nx=384, ny=384, dx=1 / 384, dy=1 / 384, num_eqn=4)
+            config = SimulationConfig(spec=spec, kernel="euler", ic="euler-sod-x",
+                                      backend={backend}, num_steps=1)
+            state, aux, _ = initial_condition(config.ic, spec)
+            ctl = TimestepController()
+            for _ in range(2):
+                step(state, aux, config, ctl)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(5):
+                step(state, aux, config, ctl)
+            print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / 5)
+        """)
+        src = str(Path(wavesweep.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert float(out.stdout) < 256, f"{out.stdout.strip()} minor faults per warm step"
+
 
 class TestRun:
     def test_zero_steps_returns_initial_condition(self):

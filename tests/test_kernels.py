@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavesweep.kernels import (DESCRIPTORS, AcousticsParams, Direction,
-                               EulerParams, KernelError, euler_flux,
-                               make_kernel, rp_acoustics_const,
+from wavesweep.kernels import (DESCRIPTORS, AcousticsParams, CellPlanes,
+                               Direction, EulerParams, KernelError, euler_cell_planes,
+                               euler_flux, make_kernel, rp_acoustics_const,
                                rp_acoustics_var, rp_advection, rp_euler)
 from wavesweep.oracles import (linear_matrix_apply, random_gas_states, rel_err,
                                wave_sum)
@@ -357,6 +357,66 @@ def test_results_do_not_depend_on_input_layout(name, direction):
     itemsize = planar.amdq.itemsize
     assert planar.amdq[0].strides[0] == itemsize
     assert planar.apdq[0].strides[0] == itemsize
+
+
+class TestEulerCellPlanes:
+    """rp_euler fed the CellPlanes of its own states gives the same bits."""
+
+    P = EulerParams(1.4)
+
+    @staticmethod
+    def _assert_same_bits(got, want):
+        for field in ("waves", "speeds", "amdq", "apdq"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.shape == b.shape and _bits(a) == _bits(b), field
+
+    @pytest.mark.parametrize("direction", [Direction.X, Direction.Y])
+    def test_planes_of_own_states_are_bitwise_equal(self, direction):
+        rng = np.random.default_rng(15)
+        nx, ny, w, h = 11, 9, 8, 6
+        q = random_gas_states(rng, nx * ny, 1.4).reshape(4, nx, ny)
+        di, dj = (1, 0) if direction is Direction.X else (0, 1)
+        left = (slice(1 - di, 1 - di + w), slice(1 - dj, 1 - dj + h))
+        right = (slice(1, 1 + w), slice(1, 1 + h))
+        for field in _layouts(q).values():
+            cells = euler_cell_planes(field, 1.4)
+            ql, qr = field[(slice(None),) + left], field[(slice(None),) + right]
+            plain = rp_euler(direction, ql, qr, self.P)
+            self._assert_same_bits(rp_euler(direction, ql, qr, self.P, cells[left],
+                                            cells[right]), plain)
+            # through the bound kernel, and with planes made from the batches themselves
+            self._assert_same_bits(make_kernel("euler").solve(
+                direction, ql, qr, euler_cell_planes(ql, 1.4), euler_cell_planes(qr, 1.4)),
+                plain)
+
+        # a single interface and an empty batch
+        ql, qr = random_gas_states(rng, 2, 1.4).T
+        self._assert_same_bits(rp_euler(direction, ql, qr, self.P, euler_cell_planes(ql, 1.4),
+                                        euler_cell_planes(qr, 1.4)),
+                               rp_euler(direction, ql, qr, self.P))
+        empty = np.empty((4, 0))
+        cells = euler_cell_planes(empty, 1.4)
+        self._assert_same_bits(rp_euler(direction, empty, empty, self.P, cells, cells),
+                               rp_euler(direction, empty, empty, self.P))
+
+    @pytest.mark.parametrize("comp,value", [(0, -1.0), (0, 0.0), (0, np.nan), (0, np.inf),
+                                            (1, np.inf), (2, -np.inf), (2, np.nan),
+                                            (3, np.inf), (3, 0.0)])
+    def test_cell_pass_refuses_any_inadmissible_cell(self, comp, value):
+        # a nonpositive or non-finite density, a non-finite momentum or energy,
+        # and an energy that leaves no pressure: no planes, and no warning
+        q = random_gas_states(np.random.default_rng(16), 12, 1.4).reshape(4, 3, 4)
+        assert isinstance(euler_cell_planes(q, 1.4), CellPlanes)
+        q[comp, 2, 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert euler_cell_planes(q, 1.4) is None
+
+    def test_planes_must_cover_the_batch(self):
+        q = random_gas_states(np.random.default_rng(17), 8, 1.4)
+        cells = euler_cell_planes(q, 1.4)
+        with pytest.raises(ValueError, match="cell planes"):
+            rp_euler(Direction.X, q[:, :4], q[:, 4:], self.P, cells, cells[4:])
 
 
 class TestGuardThenScan:

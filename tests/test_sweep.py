@@ -8,7 +8,7 @@ import pytest
 from wavesweep.driver import initial_condition, unit_square_spec
 from wavesweep.grid import (AuxField, BoundaryCondition, FluctuationField, GridSpec,
                             StateField, allocate_fields, fill_ghost)
-from wavesweep.kernels import Direction, Kernel, make_kernel
+from wavesweep.kernels import CellPlanes, Direction, Kernel, KernelError, make_kernel
 from wavesweep.oracles import random_gas_states
 from wavesweep.parallel import Serial, StaticThreads, WorkStealing, for_each_unit
 from wavesweep.sweep import (_MAX_BLOCK, CellWise, RowWise, SweepError, Tiled,
@@ -310,6 +310,50 @@ def test_serial_call_size_moves_only_call_boundaries(monkeypatch):
         bad.data[0, g + cell[0], g + cell[1]] = -1.0
         for backend in fields:
             assert _sweep_error(bad, aux, CellWise(), backend) == (Direction.X, *cell)
+
+
+@pytest.mark.parametrize("backend", [Serial(), WorkStealing(2)])
+def test_cell_pass_falls_back_to_plain_calls(monkeypatch, backend):
+    # the cell pass covers each block's cells plus one halo column and row, so
+    # it reads the ghost corners (-1, -1) and (nx, ny), which no interface
+    # reads: a negative density there trips its guard, and those rectangles
+    # are solved without planes, to the same bits, each slot written once.
+    # A y-call with planes that raises sends its rectangle the same way.  On
+    # 100x100 one thread makes two blocks of 84 and 17 rows, so (nx, ny) and
+    # the y-calls trip after a block's calls have already written.
+    monkeypatch.setenv("WAVESWEEP_CHECKED", "1")
+    spec, state = filled_gas_field(100, 100, seed=18)
+    aux = AuxField(spec)
+    kernel = make_kernel("euler")
+
+    def planes_per_call(state, refuse_planes=False):
+        with_planes = []
+
+        def solve(d, ql, qr, auxl, auxr):
+            with_planes.append(isinstance(auxl, CellPlanes))
+            if refuse_planes and with_planes[-1] and d is Direction.Y:
+                raise KernelError("refused", element=(0, 0))
+            return kernel.solve(d, ql, qr, auxl, auxr)
+
+        out = sweep(state, aux, Kernel(kernel.descriptor, kernel.params, solve),
+                    CellWise(), backend)
+        return out, with_planes
+
+    (ref, ref_stats), calls = planes_per_call(state)
+    assert all(calls)
+    g = spec.num_ghost
+    cases = []
+    for corner in ((-1, -1), (spec.nx, spec.ny)):
+        bad = state.copy()
+        bad.data[0, g + corner[0], g + corner[1]] = -1.0
+        cases.append(planes_per_call(bad))
+    cases.append(planes_per_call(state, refuse_planes=True))
+    for (out, stats), calls in cases:
+        assert not all(calls)
+        for a, b in ((ref.x_minus, out.x_minus), (ref.x_plus, out.x_plus),
+                     (ref.y_minus, out.y_minus), (ref.y_plus, out.y_plus)):
+            assert np.array_equal(a, b)
+        assert stats == ref_stats
 
 
 class TestApplyUpdate:
