@@ -11,8 +11,8 @@ differ only in partitioning, because all three run one banded body.  Tiled's
 tile_w x tile_h tiles set the unit of work distribution; CellWise and RowWise
 are presets of it, the tiling by whole interface rows ((nx+1) x 1), kept as
 names for the command line and the CSV.  Each run of tiles a worker takes is
-coalesced into at most three rectangles, and each rectangle is solved x before
-y, in kernel calls of whole i-ranges.  The sweep hands the scheduler its band
+coalesced into at most three rectangles, and each rectangle is solved in row
+blocks, in kernel calls of whole i-ranges.  The sweep hands the scheduler its band
 width (tiles per row of tiles) as the alignment, so a default work-stealing
 leaf of at least half a band is whole bands, one rectangle, rather than a band
 and a splinter of the next in two or three.
@@ -24,14 +24,22 @@ so calls are cut to fit the cache instead: the most interfaces whose result
 fits 1.5 MiB (_serial_block).  Kernels are pointwise, so only call boundaries
 move and the fluctuations are bitwise the same either way.
 
-A kernel with a cell pass (kernels.CELL_PASSES, today Euler's) has each row
-block of a rectangle computed once per cell: the pass covers the cells the
-block's x- and y-calls read, plus one halo column and row, and hands them to
-both calls in the aux slots.  It is guarded by one reduction each for density,
-pressure and finiteness; a block that trips the guard, or a call that raises,
-sends the whole rectangle to the plain calls, which compute the same bits and
-raise the same located errors.  The planes are block-sized temporaries, so
-memory stays flat.
+A kernel with a cell pass (kernels.CELL_PASSES, today Euler's) takes both
+directions per row block, each cell computed once: the pass covers the cells
+the block's x- and y-calls read, plus one halo column and row, and hands them
+to both calls in the aux slots.  It is guarded by one reduction each for
+density, pressure and finiteness; a block that trips the guard is solved by
+the plain calls, which compute the same bits.  The planes are block-sized
+temporaries, so memory stays flat.  Any other kernel takes one pass per
+direction over a rectangle's blocks, x then y.
+
+Where a kernel failure is reported does not depend on the traversal.  The
+region stops at the first failing leaf; the sweep then solves the grid once
+more without planes, row by row (j = 0 .. ny), x-interfaces then
+y-interfaces, and raises SweepError at the first interface that fails.  So
+every strategy and backend names the first failing interface in row-major
+order, x before y within a row.  If that pass does not fail, the region's
+ParallelError is raised unchanged.
 """
 
 from __future__ import annotations
@@ -45,7 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import AuxField, FluctuationField, StateField
-from .kernels import CELL_PASSES, Direction, Kernel, KernelDescriptor, KernelError
+from .kernels import (CELL_PASSES, CellPlanes, Direction, Kernel, KernelDescriptor,
+                      KernelError)
 from .parallel import Backend, ParallelError, Serial, for_each_unit
 
 # interfaces per kernel call when more than one thread runs the sweep, and the
@@ -117,8 +126,8 @@ CHECKED_ENV = "WAVESWEEP_CHECKED"
 class RowWise:
     """Preset of the banded body, the same as CellWise: whole interface rows.
 
-    Serially this solves all x-interfaces, then all y-interfaces, as its name
-    says; on threads each leaf of rows does both directions, in one region.
+    Kept as a name for the command line and the CSV; it partitions, blocks
+    and orders kernel calls exactly as CellWise does.
     """
 
 
@@ -152,6 +161,8 @@ class SweepStats:
 class SweepError(RuntimeError):
     """Kernel failure during a sweep, located at a specific interface.
 
+    The interface is the first failing one in row-major order (rows j = 0 ..
+    ny), x before y within a row, under every strategy and backend.
     `driver.run` also locates it in time: `step` is the 0-based index of the
     failing step and `time` the sim time at its start (both None from a bare
     sweep).
@@ -209,101 +220,73 @@ class _SweepContext:
     def rect(self, ia: int, ib: int, ja: int, jb: int) -> tuple[float, float]:
         """Solve the x- and y-interfaces of a rectangle of whole tiles.
 
-        A kernel with a cell pass solves it block by block, each block's cells
-        computed once for both directions.  A block whose cells fail the pass's
-        guard, or a call that raises, sends the whole rectangle to the plain
-        path, x before y, which raises exactly what it would have raised alone.
-        """
-        nx, ny = self.spec.nx, self.spec.ny
-        if self.cell_pass is not None:
-            speeds = self._rect_with_cells(ia, ib, ja, jb)
-            if speeds is not None:
-                return speeds
-        return (self.solve(Direction.X, ia, ib, ja, min(jb, ny)),
-                self.solve(Direction.Y, ia, min(ib, nx), ja, jb))
-
-    def solve(self, d: Direction, ia: int, ib: int, ja: int, jb: int) -> float:
-        """Solve d-interfaces (i, j) for i in [ia, ib), j in [ja, jb).
-
-        Interface (i, j) lies between cell (i, j) and its lower neighbour
-        along d; blocks of whole i-ranges keep each call under self.block.
-        """
-        if ia >= ib or ja >= jb:
-            return 0.0
-        g = self.spec.num_ghost
-        di, dj = (1, 0) if d is Direction.X else (0, 1)
-        step = max(1, self.block // (ib - ia))
-        top = 0.0
-        for a in range(ja, jb, step):
-            b = min(a + step, jb)
-            auxl = auxr = None
-            if self.aux is not None:
-                auxl = self.aux[:, g + ia - di : g + ib - di, g + a - dj : g + b - dj]
-                auxr = self.aux[:, g + ia : g + ib, g + a : g + b]
-            try:
-                top = max(top, self._call(d, ia, ib, a, b, auxl, auxr))
-            except KernelError as err:
-                raise _locate(d, err, ia, a) from err
-            if self.counter is not None:
-                self.counter.record(getattr(self.counter, d.value), ia, ib, a, b)
-        return top
-
-    def _rect_with_cells(self, ia, ib, ja, jb) -> tuple[float, float] | None:
-        """rect() through the kernel's cell pass; None to fall back.
-
-        Each block of rows [a, b) computes the cells its x- and y-calls read,
-        i in [ia - 1, ib) and j in [a - 1, b): one halo column and row.  Its
-        writes are counted only once the whole rectangle has succeeded, since
-        a fallback writes every slot again.
+        Rows are solved in blocks of whole i-ranges, each call under
+        self.block.  A kernel with a cell pass takes both directions per
+        block, from cells [ia - 1, ib) x [a - 1, b): the block's interfaces
+        plus one halo column and row, computed once.  A block that trips the
+        pass's guard is solved without planes.  Any other kernel takes one
+        pass per direction, x then y.  A KernelError leaves unlocated; sweep()
+        locates it.
         """
         nx, ny, g = self.spec.nx, self.spec.ny, self.spec.num_ghost
-        iy = min(ib, nx) - ia  # y-interface columns, one fewer on the right edge
-        step = max(1, self.block // (ib - ia))
-        sx = sy = 0.0
-        calls = []
-        for a in range(ja, jb, step):
-            b = min(a + step, jb)
-            cells = self.cell_pass(self.q[:, g + ia - 1 : g + ib, g + a - 1 : g + b],
-                                   **self.kernel.params)
-            if cells is None:
-                return None
-            bx = min(b, ny)
-            try:
-                if a < bx:
-                    rows = slice(1, bx - a + 1)
-                    sx = max(sx, self._call(Direction.X, ia, ib, a, bx,
-                                            cells[0 : ib - ia, rows], cells[1:, rows]))
-                    calls.append((Direction.X, ia, ib, a, bx))
-                if iy > 0:
-                    cols = slice(1, iy + 1)
-                    sy = max(sy, self._call(Direction.Y, ia, ia + iy, a, b,
-                                            cells[cols, 0 : b - a], cells[cols, 1:]))
-                    calls.append((Direction.Y, ia, ia + iy, a, b))
-            except KernelError:
-                return None
-            del cells  # free this block's planes before the next block makes its own
-        if self.counter is not None:
-            for d, *span in calls:
-                self.counter.record(getattr(self.counter, d.value), *span)
-        return sx, sy
+        # (direction, i stop, j stop): at the grid's top edge there is one
+        # x-interface row fewer, at its right edge one y-interface column fewer
+        spans = ((Direction.X, ib, min(jb, ny)), (Direction.Y, min(ib, nx), jb))
+        top = {Direction.X: 0.0, Direction.Y: 0.0}
+        for dirs in [spans] if self.cell_pass else [[span] for span in spans]:
+            # rows per block: as many as the pass's widest rows fit in self.block
+            step = max(1, self.block // max(1, max(ie for _, ie, _ in dirs) - ia))
+            for a in range(ja, jb, step):
+                b = min(a + step, jb)
+                cells = None if self.cell_pass is None else self.cell_pass(
+                    self.q[:, g + ia - 1 : g + ib, g + a - 1 : g + b], **self.kernel.params)
+                for d, ie, je in dirs:
+                    bj = min(b, je)
+                    if ia < ie and a < bj:
+                        top[d] = max(top[d], self._call(d, ia, ie, a, bj, cells))
+                del cells  # free this block's planes before the next block makes its own
+        return top[Direction.X], top[Direction.Y]
 
-    def _call(self, d: Direction, ia: int, ib: int, a: int, b: int, auxl, auxr) -> float:
-        """One kernel call on d-interfaces [ia, ib) x [a, b), stored; returns max |s|."""
+    def locate(self):
+        """Raise SweepError at the first failing interface in row-major order,
+        x before y within a row, solving without planes; return if none fails.
+        """
+        nx, ny = self.spec.nx, self.spec.ny
+        for j in range(ny + 1):
+            for d, ie, je in ((Direction.X, nx + 1, ny), (Direction.Y, nx, ny + 1)):
+                if j == je:
+                    continue
+                try:
+                    self._call(d, 0, ie, j, j + 1)
+                except KernelError as err:
+                    raise SweepError(d, err.element[0] if err.element else 0, j, err) from err
+
+    def _call(self, d: Direction, ia: int, ib: int, a: int, b: int,
+              cells: CellPlanes | None = None) -> float:
+        """One kernel call on d-interfaces [ia, ib) x [a, b), stored; returns max |s|.
+
+        Interface (i, j) lies between cell (i, j) and its lower neighbour
+        along d.  `cells` are the planes of cells [ia - 1, ib) x [a - 1, b)
+        or None, in which case the aux field, if any, fills the aux slots.
+        """
         g = self.spec.num_ghost
         di, dj = (1, 0) if d is Direction.X else (0, 1)
         left = (slice(None), slice(g + ia - di, g + ib - di), slice(g + a - dj, g + b - dj))
         right = (slice(None), slice(g + ia, g + ib), slice(g + a, g + b))
+        auxl = auxr = None
+        if cells is not None:
+            auxl = cells[1 - di : ib - ia + 1 - di, 1 - dj : b - a + 1 - dj]
+            auxr = cells[1 : ib - ia + 1, 1 : b - a + 1]
+        elif self.aux is not None:
+            auxl, auxr = self.aux[left], self.aux[right]
         res = self.kernel.solve(d, self.q[left], self.q[right], auxl, auxr)
         getattr(self.fluct, f"{d.value}_minus")[:, ia:ib, a:b] = res.amdq
         getattr(self.fluct, f"{d.value}_plus")[:, ia:ib, a:b] = res.apdq
+        if self.counter is not None:
+            self.counter.record(getattr(self.counter, d.value), ia, ib, a, b)
         # max |s| = max(max s, -min s), with no |s| temporary; NaN speeds give NaN,
         # which the callers' max(top, ...) passes over
         return max(float(res.speeds.max()), -float(res.speeds.min()))
-
-
-def _locate(direction: Direction, err: KernelError, i_base: int, j_base: int) -> SweepError:
-    di, dj = (err.element or (0, 0)) if len(err.element or ()) == 2 else (0, 0)
-    return SweepError(direction, i_base + di, j_base + dj, err)
 
 
 def _tile_rects(t0: int, t1: int, tiles_i: int):
@@ -339,6 +322,8 @@ def sweep(state: StateField, aux: AuxField | None, kernel: Kernel,
     each interface is computed exactly once from the same two cells by the
     same elementwise kernel.  The fluctuations go into `out` when given (a
     field of this grid; every slot is overwritten), else into a fresh field.
+    A kernel failure raises SweepError at the first failing interface in
+    row-major order, x before y within a row.
     """
     spec = state.spec
     if kernel.descriptor.num_eqn != spec.num_eqn:
@@ -383,9 +368,8 @@ def sweep(state: StateField, aux: AuxField | None, kernel: Kernel,
         max_sx, max_sy = for_each_unit(tiles_i * tiles_j, backend, tile_run,
                                        combine=_pair_max, initial=(0.0, 0.0), align=tiles_i)
     except ParallelError as exc:
-        # surface the precise interface location when the body pinpointed one
-        if isinstance(exc.__cause__, SweepError):
-            raise exc.__cause__
+        if isinstance(exc.__cause__, KernelError):
+            ctx.locate()  # raises SweepError if the plain calls fail too
         raise
 
     if counter is not None:

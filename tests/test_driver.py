@@ -317,6 +317,14 @@ class TestRun:
             assert str(err).startswith(f"x-interface (i=3, j=2) in step 2 at t={err.time!r}")
             assert "nonpositive density on right side" in str(err)
 
+        # a last-row cell is first read, through the periodic ghost row, by
+        # y-interface (3, 0): the first failing interface in row-major order
+        poison_step(2, cell=(3, 7))
+        with pytest.raises(SweepError) as exc:
+            run(SimulationConfig(spec=spec, kernel="euler", ic="euler-sod-x",
+                                 backend=backend, num_steps=4))
+        assert str(exc.value).startswith("y-interface (i=3, j=0) in step 2")
+
     @pytest.mark.parametrize("strategy,backend", [
         (RowWise(), StaticThreads(3)),
         (Tiled(5, 4), WorkStealing(3, 2)),

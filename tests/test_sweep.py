@@ -10,7 +10,8 @@ from wavesweep.grid import (AuxField, BoundaryCondition, FluctuationField, GridS
                             StateField, allocate_fields, fill_ghost)
 from wavesweep.kernels import CellPlanes, Direction, Kernel, KernelError, make_kernel
 from wavesweep.oracles import random_gas_states
-from wavesweep.parallel import Serial, StaticThreads, WorkStealing, for_each_unit
+from wavesweep.parallel import (ParallelError, Serial, StaticThreads, WorkStealing,
+                                for_each_unit)
 from wavesweep.sweep import (_MAX_BLOCK, CellWise, RowWise, SweepError, Tiled,
                              apply_update, sweep)
 
@@ -181,6 +182,29 @@ def test_kernel_failure_reports_interface_coordinates(backend):
                 sweep(state, aux, make_kernel("euler"), strategy, backend)
             assert (exc.value.direction, exc.value.i, exc.value.j) == (Direction.X, *cell)
 
+    # the reported interface is the first failing one in row-major order, x
+    # before y within a row, under every strategy: a bad last-row cell is first
+    # read through the periodic ghost row by y-interface (i, 0), and of two bad
+    # cells the lower row's is reported, for bad gas states and bad aux alike
+    for name, cells, where in (("euler", [(3, 5)], (Direction.Y, 3, 0)),
+                               ("euler", [(9, 1), (2, 4)], (Direction.X, 9, 1)),
+                               ("acoustics-var", [(9, 1), (2, 4)], (Direction.X, 9, 1))):
+        if name == "euler":
+            spec, state = filled_gas_field(11, 6, seed=3)
+            aux, bad = AuxField(spec), state
+        else:
+            state, aux, _ = initial_condition("acoustics-var-interface",
+                                              unit_square_spec(name, 11, 6))
+            fill_ghost(state, PER, PER)
+            bad = aux  # negative density in the aux field
+        for cell in cells:
+            bad.data[0, g + cell[0], g + cell[1]] = -1.0
+        fill_ghost(bad, PER, PER)
+        for strategy in (RowWise(), CellWise(), Tiled(4, 3)):
+            with pytest.raises(SweepError) as exc:
+                sweep(state, aux, make_kernel(name), strategy, backend)
+            assert (exc.value.direction, exc.value.i, exc.value.j) == where
+
 
 def test_single_write_checked_mode(monkeypatch):
     monkeypatch.setenv("WAVESWEEP_CHECKED", "1")
@@ -312,15 +336,27 @@ def test_serial_call_size_moves_only_call_boundaries(monkeypatch):
             assert _sweep_error(bad, aux, CellWise(), backend) == (Direction.X, *cell)
 
 
+def test_plain_kernel_blocks_each_direction_by_its_own_rows():
+    # an advection call holds up to _MAX_BLOCK interfaces: 15 x-rows of 2049
+    # or 16 y-rows of 2048, so 2048x30 takes 2 x-calls and 2 y-calls
+    spec = GridSpec(nx=2048, ny=30, dx=1.0, dy=1.0, num_eqn=1)
+    state, aux, _ = allocate_fields(spec)
+    fill_ghost(state, PER, PER)
+    counts = _CallCounts(make_kernel("advection", u=1.0, v=1.0))
+    sweep(state, aux, counts.kernel, CellWise(), Serial())
+    assert counts.total == 4
+
+
 @pytest.mark.parametrize("backend", [Serial(), WorkStealing(2)])
 def test_cell_pass_falls_back_to_plain_calls(monkeypatch, backend):
     # the cell pass covers each block's cells plus one halo column and row, so
     # it reads the ghost corners (-1, -1) and (nx, ny), which no interface
-    # reads: a negative density there trips its guard, and those rectangles
-    # are solved without planes, to the same bits, each slot written once.
-    # A y-call with planes that raises sends its rectangle the same way.  On
-    # 100x100 one thread makes two blocks of 84 and 17 rows, so (nx, ny) and
-    # the y-calls trip after a block's calls have already written.
+    # reads: a negative density there trips its guard, and those blocks are
+    # solved without planes, to the same bits, each slot written once.  On
+    # 100x100 one thread makes two blocks of 84 and 17 rows, so (nx, ny) trips
+    # after a block's calls have already written.  A KernelError raised only
+    # with planes is one the plain location pass cannot reproduce, so it
+    # surfaces unlocated, as the region's ParallelError.
     monkeypatch.setenv("WAVESWEEP_CHECKED", "1")
     spec, state = filled_gas_field(100, 100, seed=18)
     aux = AuxField(spec)
@@ -347,13 +383,16 @@ def test_cell_pass_falls_back_to_plain_calls(monkeypatch, backend):
         bad = state.copy()
         bad.data[0, g + corner[0], g + corner[1]] = -1.0
         cases.append(planes_per_call(bad))
-    cases.append(planes_per_call(state, refuse_planes=True))
     for (out, stats), calls in cases:
         assert not all(calls)
         for a, b in ((ref.x_minus, out.x_minus), (ref.x_plus, out.x_plus),
                      (ref.y_minus, out.y_minus), (ref.y_plus, out.y_plus)):
             assert np.array_equal(a, b)
         assert stats == ref_stats
+    with pytest.raises(ParallelError) as exc:
+        planes_per_call(state, refuse_planes=True)
+    assert isinstance(exc.value.__cause__, KernelError)
+    assert str(exc.value.__cause__) == "refused"
 
 
 class TestApplyUpdate:
