@@ -144,11 +144,11 @@ class FluctuationField:
 
     x-interface (i, j), i in [0, nx], j in [0, ny): face between cells
     (i-1, j) and (i, j).  y-interface (i, j), i in [0, nx), j in [0, ny]:
-    face between cells (i, j-1) and (i, j).  max_speed_* are the maxima of
-    |s| over all wave speeds produced by the corresponding sweep direction.
-    The four arrays are component-planar with i fastest, like the state, so
-    a kernel result for an (i-range, j-range) block, which the kernels lay
-    out in the same order, is stored as contiguous runs along i.
+    face between cells (i, j-1) and (i, j).  The field holds fluctuations
+    only: the sweep's max wave speeds are in its SweepStats.  The four arrays
+    are component-planar with i fastest, like the state, so a kernel result
+    for an (i-range, j-range) block, which the kernels lay out in the same
+    order, is stored as contiguous runs along i.
     """
 
     def __init__(self, spec: GridSpec, *, zeroed: bool = True):
@@ -159,8 +159,6 @@ class FluctuationField:
         self.x_plus = _planar(m, spec.nx + 1, spec.ny, alloc)
         self.y_minus = _planar(m, spec.nx, spec.ny + 1, alloc)
         self.y_plus = _planar(m, spec.nx, spec.ny + 1, alloc)
-        self.max_speed_x = 0.0
-        self.max_speed_y = 0.0
 
 
 def allocate_fields(spec: GridSpec) -> tuple[StateField, AuxField, FluctuationField]:

@@ -15,8 +15,14 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import GridSpec, StateField
+from . import kernels as K
+from .bench import make_backend, strategy_name
+from .driver import (DEFAULT_IC, SOD_LEFT, SOD_RIGHT, SimulationConfig, TimestepController,
+                     gaussian_profile, initial_condition, run, unit_square_spec)
+from .driver import step as advance
+from .grid import BoundaryCondition, GridSpec, StateField
 from .kernels import Direction
+from .sweep import CellWise, RowWise, Tiled
 
 _GAS_FLOOR = 1e-300
 
@@ -309,13 +315,11 @@ def random_gas_states(rng, n: int, gamma: float) -> np.ndarray:
 
 
 def _directions(rng):
-    from .kernels import Direction
     return Direction.X if rng.random() < 0.5 else Direction.Y
 
 
 def fluctuation_identity_errors(seed: int, samples: int = 10_000) -> dict[str, float]:
     """Worst relative defect of amdq + apdq = sum(s W) per kernel."""
-    from . import kernels as K
     rng = np.random.default_rng(seed)
     batches = 20
     per = samples // batches
@@ -350,7 +354,6 @@ def fluctuation_identity_errors(seed: int, samples: int = 10_000) -> dict[str, f
 
 def conservation_property_errors(seed: int, samples: int = 10_000) -> dict[str, float]:
     """Worst relative defect of amdq + apdq = f(qr) - f(ql) (Roe property)."""
-    from . import kernels as K
     rng = np.random.default_rng(seed)
     batches = 20
     per = samples // batches
@@ -377,7 +380,6 @@ def conservation_property_errors(seed: int, samples: int = 10_000) -> dict[str, 
 
 def linear_exactness_errors(seed: int, samples: int = 10_000) -> dict[str, float]:
     """Worst relative defect of sum(s W) = A (qr - ql) for the acoustics kernels."""
-    from . import kernels as K
     rng = np.random.default_rng(seed)
     batches = 20
     per = samples // batches
@@ -415,15 +417,10 @@ def equivalence_mismatches(nx: int = 128, ny: int = 96, steps: int = 10,
     backend; returns the (empty, when all is well) list of mismatching
     combination labels.
     """
-    from .bench import make_backend, strategy_name
-    from .driver import DEFAULT_IC, SimulationConfig, run, unit_square_spec
-    from .kernels import KERNEL_NAMES
-    from .sweep import CellWise, RowWise, Tiled
-
     if strategies is None:
         strategies = (RowWise(), CellWise(), Tiled(), Tiled(7, 5))
     mismatches = []
-    for kernel in KERNEL_NAMES:
+    for kernel in K.KERNEL_NAMES:
         spec = unit_square_spec(kernel, nx, ny)
         reference = None
         for strategy in strategies:
@@ -447,9 +444,6 @@ def conservation_run_errors(steps: int = 100) -> dict[str, float]:
     Periodic advection and gas-dynamics runs; a conservative scheme keeps
     every component's interior sum fixed up to rounding.
     """
-    from .driver import SimulationConfig, TimestepController, initial_condition
-    from .driver import step as advance
-
     worst = {}
     cases = {
         "advection": ("advection-gaussian", GridSpec(64, 64, 1 / 64, 1 / 64, num_eqn=1)),
@@ -476,8 +470,6 @@ def advection_convergence(grids=(64, 128, 256, 512), t_final: float = 0.2
 
     Returns the least-squares slope of log(error) vs log(h) and the L1 errors.
     """
-    from .driver import SimulationConfig, gaussian_profile, run
-
     errors = []
     for n in grids:
         spec = GridSpec(nx=n, ny=n, dx=1.0 / n, dy=1.0 / n, num_eqn=1)
@@ -497,9 +489,6 @@ def sod_density_l1(nx: int, t_final: float = 0.15, gamma: float = 1.4) -> float:
     The strip is nx x 4 with square cells; the profile of the first interior
     row is compared against the exact similarity solution, weighted by dx.
     """
-    from .driver import SOD_LEFT, SOD_RIGHT, SimulationConfig, run
-    from .grid import BoundaryCondition
-
     spec = GridSpec(nx=nx, ny=4, dx=1.0 / nx, dy=1.0 / nx, num_eqn=4)
     config = SimulationConfig(spec=spec, kernel="euler", ic="euler-sod-x",
                               bc_x=BoundaryCondition.EXTRAPOLATE,

@@ -4,8 +4,8 @@ The contract every backend honors: the unit index space [0, n) is covered by
 calls ``body(start, stop)`` over disjoint half-open ranges, each unit exactly
 once.  Bodies may write only to locations owned by their units and read only
 shared immutable inputs, so any interleaving yields identical memory contents.
-Per-call return values are folded with an associative, commutative `combine`
-into a single accumulator on the calling thread.
+The bodies' return values come back as one list in ascending leaf order, for
+the caller to fold.
 
 There is one scheduler.  A backend only fixes a thread count and a grain, from
 the unit count and the caller's alignment, the units in one band of a tiling
@@ -27,7 +27,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
 
 THREAD_COUNT_ENV = "WAVESWEEP_NUM_THREADS"
 
@@ -130,8 +129,7 @@ def _get_pool(n: int) -> ThreadPoolExecutor:
         return pool
 
 
-def for_each_unit(units: int, backend: Backend, body, *, combine=None, initial=None,
-                  align: int = 1):
+def for_each_unit(units: int, backend: Backend, body, *, align: int = 1) -> list:
     """Invoke ``body(start, stop)`` over ranges covering every unit exactly once.
 
     The backend fixes a thread count and a grain, and the units are cut into
@@ -144,12 +142,11 @@ def for_each_unit(units: int, backend: Backend, body, *, combine=None, initial=N
     in ascending order on the caller; otherwise up to `threads` pool workers
     each take the next leaf from one shared counter.
 
-    Returns initial folded with the body return values, in ascending leaf
-    order, under `combine` (associative and commutative), or initial when
-    combine is None.  A body exception stops the handing out of leaves and is
-    re-raised as ParallelError naming the lowest failing leaf: every leaf below
-    it was handed out first and has run to completion, so the choice does not
-    depend on timing.
+    Returns the body return values as a list in ascending leaf order ([] for
+    zero units), whatever the backend.  A body exception stops the handing
+    out of leaves and is re-raised as ParallelError naming the lowest failing
+    leaf: every leaf below it was handed out first and has run to completion,
+    so the choice does not depend on timing.
     """
     n_units = int(units)
     if n_units < 0:
@@ -199,4 +196,4 @@ def for_each_unit(units: int, backend: Backend, body, *, combine=None, initial=N
             fut.result()
         if failures:
             raise min(failures, key=lambda exc: exc.unit_start)
-    return initial if combine is None else reduce(combine, results, initial)
+    return results

@@ -24,14 +24,15 @@ so calls are cut to fit the cache instead: the most interfaces whose result
 fits 1.5 MiB (_serial_block).  Kernels are pointwise, so only call boundaries
 move and the fluctuations are bitwise the same either way.
 
-A kernel with a cell pass (kernels.CELL_PASSES, today Euler's) takes both
-directions per row block, each cell computed once: the pass covers the cells
-the block's x- and y-calls read, plus one halo column and row, and hands them
-to both calls in the aux slots.  It is guarded by one reduction each for
-density, pressure and finiteness; a block that trips the guard is solved by
-the plain calls, which compute the same bits.  The planes are block-sized
-temporaries, so memory stays flat.  Any other kernel takes one pass per
-direction over a rectangle's blocks, x then y.
+Every kernel takes both directions per row block, x then y, with as many rows
+per block as the x-rows, the widest, fit in one call.  A kernel with a cell
+pass (kernels.CELL_PASSES, today Euler's) also computes each cell once per
+block: the pass covers the cells the block's x- and y-calls read, plus one
+halo column and row, and hands them to both calls in the aux slots.  It is
+guarded by one reduction each for density, pressure and finiteness; a block
+that trips the guard is solved by the plain calls, which compute the same
+bits.  The planes are block-sized temporaries, so memory stays flat.  Each
+leaf returns its max speeds, and the sweep folds them into SweepStats.
 
 Where a kernel failure is reported does not depend on the traversal.  The
 region stops at the first failing leaf; the sweep then solves the grid once
@@ -220,31 +221,28 @@ class _SweepContext:
     def rect(self, ia: int, ib: int, ja: int, jb: int) -> tuple[float, float]:
         """Solve the x- and y-interfaces of a rectangle of whole tiles.
 
-        Rows are solved in blocks of whole i-ranges, each call under
-        self.block.  A kernel with a cell pass takes both directions per
-        block, from cells [ia - 1, ib) x [a - 1, b): the block's interfaces
-        plus one halo column and row, computed once.  A block that trips the
-        pass's guard is solved without planes.  Any other kernel takes one
-        pass per direction, x then y.  A KernelError leaves unlocated; sweep()
-        locates it.
+        Rows are solved in blocks of whole i-ranges, as many rows as the
+        x-rows, the widest, fit in self.block; each block takes x, then y.  A
+        kernel with a cell pass computes cells [ia - 1, ib) x [a - 1, b) once
+        per block, the block's interfaces plus one halo column and row, for
+        both calls; a block that trips the pass's guard is solved without
+        planes.  A KernelError leaves unlocated; sweep() locates it.
         """
         nx, ny, g = self.spec.nx, self.spec.ny, self.spec.num_ghost
         # (direction, i stop, j stop): at the grid's top edge there is one
         # x-interface row fewer, at its right edge one y-interface column fewer
         spans = ((Direction.X, ib, min(jb, ny)), (Direction.Y, min(ib, nx), jb))
         top = {Direction.X: 0.0, Direction.Y: 0.0}
-        for dirs in [spans] if self.cell_pass else [[span] for span in spans]:
-            # rows per block: as many as the pass's widest rows fit in self.block
-            step = max(1, self.block // max(1, max(ie for _, ie, _ in dirs) - ia))
-            for a in range(ja, jb, step):
-                b = min(a + step, jb)
-                cells = None if self.cell_pass is None else self.cell_pass(
-                    self.q[:, g + ia - 1 : g + ib, g + a - 1 : g + b], **self.kernel.params)
-                for d, ie, je in dirs:
-                    bj = min(b, je)
-                    if ia < ie and a < bj:
-                        top[d] = max(top[d], self._call(d, ia, ie, a, bj, cells))
-                del cells  # free this block's planes before the next block makes its own
+        step = max(1, self.block // (ib - ia))
+        for a in range(ja, jb, step):
+            b = min(a + step, jb)
+            cells = None if self.cell_pass is None else self.cell_pass(
+                self.q[:, g + ia - 1 : g + ib, g + a - 1 : g + b], **self.kernel.params)
+            for d, ie, je in spans:
+                bj = min(b, je)
+                if ia < ie and a < bj:
+                    top[d] = max(top[d], self._call(d, ia, ie, a, bj, cells))
+            del cells  # free this block's planes before the next block makes its own
         return top[Direction.X], top[Direction.Y]
 
     def locate(self):
@@ -307,10 +305,6 @@ def _tile_rects(t0: int, t1: int, tiles_i: int):
             t0 = stop
 
 
-def _pair_max(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
-    return (max(a[0], b[0]), max(a[1], b[1]))
-
-
 def sweep(state: StateField, aux: AuxField | None, kernel: Kernel,
           strategy: Strategy, backend: Backend,
           out: FluctuationField | None = None) -> tuple[FluctuationField, SweepStats]:
@@ -365,8 +359,7 @@ def sweep(state: StateField, aux: AuxField | None, kernel: Kernel,
         return sx, sy
 
     try:
-        max_sx, max_sy = for_each_unit(tiles_i * tiles_j, backend, tile_run,
-                                       combine=_pair_max, initial=(0.0, 0.0), align=tiles_i)
+        leaf_speeds = for_each_unit(tiles_i * tiles_j, backend, tile_run, align=tiles_i)
     except ParallelError as exc:
         if isinstance(exc.__cause__, KernelError):
             ctx.locate()  # raises SweepError if the plain calls fail too
@@ -375,9 +368,8 @@ def sweep(state: StateField, aux: AuxField | None, kernel: Kernel,
     if counter is not None:
         counter.verify()
 
-    fluct.max_speed_x = max_sx
-    fluct.max_speed_y = max_sy
-    stats = SweepStats(max_sx, max_sy, (nx + 1) * ny + nx * (ny + 1))
+    stats = SweepStats(max(sx for sx, _ in leaf_speeds), max(sy for _, sy in leaf_speeds),
+                       (nx + 1) * ny + nx * (ny + 1))
     return fluct, stats
 
 

@@ -154,9 +154,3 @@ def test_copy_is_independent():
     dup = state.copy()
     dup.interior[:] = 2.0
     assert np.all(state.interior == 1.0)
-
-
-def test_fluctuation_field_speed_defaults():
-    spec = GridSpec(nx=3, ny=3, dx=1.0, dy=1.0, num_eqn=1)
-    fluct = FluctuationField(spec)
-    assert fluct.max_speed_x == 0.0 and fluct.max_speed_y == 0.0

@@ -49,9 +49,10 @@ def test_every_unit_covered_exactly_once(n, workers, grain, kind, data):
     ranges = collect_ranges(n, backend)
     assert_partition(ranges, n)
 
-    assert for_each_unit(n, backend, lambda a, b: b - a,
-                         combine=lambda x, y: x + y, initial=0) == n
-    assert for_each_unit(n, backend, lambda a, b: b - 1, combine=max, initial=-1) == n - 1
+    leaves = for_each_unit(n, backend, lambda a, b: (a, b))
+    assert leaves == sorted(ranges)  # one result per leaf, in ascending leaf order
+    assert sum(for_each_unit(n, backend, lambda a, b: b - a)) == n
+    assert max(for_each_unit(n, backend, lambda a, b: b - 1), default=-1) == n - 1
 
     if n:
         failing = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
@@ -81,8 +82,8 @@ def test_single_worker_matches_serial(backend):
     def body(a, b):
         return sum(k * k for k in range(a, b))
 
-    serial = for_each_unit(100, Serial(), body, combine=lambda x, y: x + y, initial=0)
-    other = for_each_unit(100, backend, body, combine=lambda x, y: x + y, initial=0)
+    serial = sum(for_each_unit(100, Serial(), body))
+    other = sum(for_each_unit(100, backend, body))
     assert serial == other == sum(k * k for k in range(100))
 
 
@@ -92,8 +93,9 @@ def test_max_accumulator_fold():
     def body(a, b):
         return max(locals_[k] for k in range(a, b))
 
-    out = for_each_unit(3, StaticThreads(3), body, combine=max, initial=0.0)
-    assert out == 7.5
+    out = for_each_unit(3, StaticThreads(3), body)
+    assert out == [3.0, 7.5, 1.2]
+    assert max(out, default=0.0) == 7.5
 
 
 @pytest.mark.parametrize("backend", [Serial(), StaticThreads(3), WorkStealing(3, 2)])
@@ -103,8 +105,8 @@ def test_merged_max_independent_of_backend(backend):
     def body(a, b):
         return max(values[a:b])
 
-    out = for_each_unit(500, backend, body, combine=max, initial=0.0)
-    assert out == max(values)
+    out = for_each_unit(500, backend, body)
+    assert max(out, default=0.0) == max(values)
 
 
 @pytest.mark.parametrize("backend", [Serial(), StaticThreads(4), WorkStealing(4, 3),
@@ -127,11 +129,10 @@ def test_body_failure_identifies_unit(backend):
         assert (exc.value.unit_start, exc.value.unit_stop) == (3, 4)
 
 
-def test_zero_units_returns_initial():
+def test_zero_units_returns_empty_list():
     called = []
-    out = for_each_unit(0, WorkStealing(4, 1), lambda a, b: called.append((a, b)),
-                        combine=max, initial=-1.0)
-    assert out == -1.0 and called == []
+    out = for_each_unit(0, WorkStealing(4, 1), lambda a, b: called.append((a, b)))
+    assert out == [] and called == []
 
 
 def test_detect_cores_at_least_one():
