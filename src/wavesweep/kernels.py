@@ -7,7 +7,10 @@ threads: callers may invoke a solver on a single interface (inputs of shape
 ``(num_eqn,)``) or on any batch of interfaces at once (``(num_eqn, ...)``
 with trailing batch axes), and every output element depends only on the
 matching input elements, so results are bitwise identical however the batch
-is carved up.
+is carved up.  Every result array is fresh per call: a solver never writes its
+inputs, and no result shares memory with an input or with another call's
+results, so concurrent calls over one field cannot race.  The solvers compute
+in place in their result slots (see _one_as_batch for single interfaces).
 
 State conventions:
   advection       q = (tracer,)
@@ -25,7 +28,7 @@ import enum
 import inspect
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import reduce, wraps
 from typing import Callable
 
 import numpy as np
@@ -208,6 +211,45 @@ def _result_array(lead: tuple, batch: np.ndarray) -> np.ndarray:
     return np.empty(lead + batch.shape)
 
 
+def _lift(arg):
+    """`arg` with a trailing batch axis of length one: array-likes and each
+    plane of CellPlanes gain it; parameters and None pass through."""
+    if isinstance(arg, CellPlanes):
+        return CellPlanes(tuple(np.asarray(plane)[..., np.newaxis] for plane in arg.planes))
+    if isinstance(arg, (np.ndarray, list, tuple)):
+        return np.asarray(arg, dtype=float)[..., np.newaxis]
+    return arg
+
+
+def _one_as_batch(solver):
+    """Let `solver` take a single interface, states of shape (num_eqn,).
+
+    The solvers compute in place, through `out=` and in-place operators into
+    their result slots, and `out=` needs arrays; arithmetic on 0-d inputs
+    returns numpy scalars.  So a single interface is solved as a batch of
+    one: every array argument gains a trailing axis, every result loses it,
+    a KernelError names element () as before, and a malformed argument's
+    ValueError names the shapes given.  The arithmetic is the same, so are
+    the bits.
+    """
+    @wraps(solver)
+    def solve(direction, ql, qr, *args, **kwargs):
+        if np.ndim(ql) != 1:
+            return solver(direction, ql, qr, *args, **kwargs)
+        try:
+            res = solver(direction, *map(_lift, (ql, qr, *args)),
+                         **{name: _lift(arg) for name, arg in kwargs.items()})
+        except KernelError as err:
+            if err.element is not None:
+                err.element = ()
+            raise
+        except ValueError:  # a malformed argument: fail as the unlifted call does
+            return solver(direction, ql, qr, *args, **kwargs)
+        return RiemannResult(res.waves[..., 0], res.speeds[..., 0],
+                             res.amdq[..., 0], res.apdq[..., 0])
+    return solve
+
+
 def rp_advection(direction: Direction, ql, qr, u: float, v: float) -> RiemannResult:
     """Scalar advection with constant velocity (u, v): pure upwinding.
 
@@ -242,15 +284,16 @@ def _acoustics(direction: Direction, jump, zl, zr, cl, cr) -> RiemannResult:
     dp = jump[0]
     dn = jump[ni]
     denom = zl + zr
-    a1 = (-dp + zr * dn) / denom
-    a2 = (dp + zl * dn) / denom
-
     waves = _result_array((2, 3), dp)
     waves[:, 3 - ni] = 0.0  # the transverse slot, untouched by both waves
-    waves[0, 0] = -zl * a1
-    waves[0, ni] = a1
-    waves[1, 0] = zr * a2
-    waves[1, ni] = a2
+    a1 = np.multiply(zr, dn, out=waves[0, ni])
+    a1 -= dp  # Z_r dn - dp is -dp + Z_r dn: x - y is x + (-y), and + commutes
+    a1 /= denom
+    a2 = np.multiply(zl, dn, out=waves[1, ni])
+    a2 += dp
+    a2 /= denom
+    np.multiply(-zl, a1, out=waves[0, 0])
+    np.multiply(zr, a2, out=waves[1, 0])
     speeds = _result_array((2,), dp)
     speeds[0] = -cl
     speeds[1] = cr
@@ -259,6 +302,7 @@ def _acoustics(direction: Direction, jump, zl, zr, cl, cr) -> RiemannResult:
     return RiemannResult(waves, speeds, amdq, apdq)
 
 
+@_one_as_batch
 def rp_acoustics_const(direction: Direction, ql, qr, params: AcousticsParams) -> RiemannResult:
     """Constant-coefficient acoustics: two sound waves at speeds -c, +c.
 
@@ -272,6 +316,7 @@ def rp_acoustics_const(direction: Direction, ql, qr, params: AcousticsParams) ->
     return _acoustics(direction, jump, z, z, c, c)
 
 
+@_one_as_batch
 def rp_acoustics_var(direction: Direction, ql, qr, auxl, auxr) -> RiemannResult:
     """Acoustics across a material jump: per-cell (rho, c) on each side.
 
@@ -316,18 +361,35 @@ class CellPlanes:
 def _euler_cells(q: np.ndarray, gamma: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Pressure and Roe planes of gas states q, (4,) + batch, with positive density.
 
-    Returns (p, planes), planes as in CellPlanes.  The pressure sums u^2 + v^2
-    in x/y order; IEEE addition is commutative, so it is the same bits in
-    either sweep direction.  Separate arrays, not one stacked (4,) + batch
-    array: writing the planes into one through `out=` made plain `rp_euler`
-    calls about 6% slower (8k-interface calls on a 2-core Xeon VM).
+    Returns (p, planes), planes as in CellPlanes, from
+
+        p = (gamma - 1) (E - 0.5 rho (u^2 + v^2)),
+        planes = (sqrt(rho), sqrt(rho) u, sqrt(rho) v, sqrt(rho) (E + p) / rho).
+
+    Each is computed in place in its own array; a product or sum is taken
+    with its operands swapped where that saves a temporary, which IEEE
+    commutativity makes the same bits.  The pressure sums u^2 + v^2 in x/y
+    order, so it is the same bits in either sweep direction.  Separate arrays,
+    not one stacked (4,) + batch array: writing the planes into one through
+    `out=` made plain `rp_euler` calls about 6% slower (8k-interface calls on
+    a 2-core Xeon VM).  A batch, not one cell: see _one_as_batch.
     """
     rho = q[0]
     u = q[1] / rho
     v = q[2] / rho
-    p = (gamma - 1.0) * (q[3] - 0.5 * rho * (u * u + v * v))
+    kin = u * u
+    kin += v * v
+    p = 0.5 * rho
+    p *= kin
+    np.subtract(q[3], p, out=p)
+    p *= gamma - 1.0
     sq = np.sqrt(rho)
-    return p, (sq, sq * u, sq * v, sq * (q[3] + p) / rho)
+    u *= sq
+    v *= sq
+    h = q[3] + p
+    h *= sq
+    h /= rho
+    return p, (sq, u, v, h)
 
 
 def euler_cell_planes(q, gamma: float) -> CellPlanes | None:
@@ -343,6 +405,9 @@ def euler_cell_planes(q, gamma: float) -> CellPlanes | None:
     q = np.asarray(q, dtype=float)
     if q.ndim < 1 or q.shape[0] != 4:
         raise ValueError(f"gas states must have 4 components, got shape {q.shape}")
+    if q.ndim == 1:  # one cell, as a batch of one (see _one_as_batch)
+        cells = euler_cell_planes(q[:, np.newaxis], gamma)
+        return None if cells is None else cells[0]
     if not np.min(q[0], initial=np.inf) > ADMISSIBILITY_FLOOR:
         return None
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite cell is caught below
@@ -354,59 +419,99 @@ def euler_cell_planes(q, gamma: float) -> CellPlanes | None:
 
 
 def _euler_roe(direction: Direction, jump, cells_l, cells_r, gamma: float) -> RiemannResult:
-    """The Roe solution from the jump and each side's planes (see CellPlanes)."""
+    """The Roe solution from the jump and each side's planes (see CellPlanes).
+
+    With hats for the sqrt-density weighted averages and (d_rho, d_mn, d_mt,
+    d_e) the jump in normal/transverse order:
+
+        c2 = (gamma - 1) (h_hat - kin_hat),  kin_hat = 0.5 (u_hat^2 + v_hat^2)
+        a_shear = d_mt - v_hat d_rho
+        a_mid = (gamma - 1) / c2 ((h_hat - u_hat^2) d_rho + u_hat d_mn
+                                  - (d_e - a_shear v_hat))
+        a_plus = 0.5 ((d_mn - u_hat d_rho) / c_hat + d_rho - a_mid)
+        a_minus = d_rho - a_mid - a_plus
+
+    Every value is computed in place, in its result slot where it has one
+    (u_hat is speeds[1]; the strengths are the waves' density slots), with
+    the operations and their order of the formulas; an operand moves only
+    across a single + or x, which IEEE makes commutative.  A batch, not one
+    interface: see _one_as_batch.
+    """
     ni = _normal_slot(direction)
     ti = 3 - ni
+    d_rho, d_mn, d_mt, d_e = jump[0], jump[ni], jump[ti], jump[3]
+    speeds = _result_array((3,), d_rho)
+    waves = _result_array((3, 4), d_rho)
 
     wsum = cells_l[0] + cells_r[0]
-    u_hat = (cells_l[ni] + cells_r[ni]) / wsum
-    v_hat = (cells_l[ti] + cells_r[ti]) / wsum
-    h_hat = (cells_l[3] + cells_r[3]) / wsum
+    u_hat = np.add(cells_l[ni], cells_r[ni], out=speeds[1])
+    u_hat /= wsum
+    v_hat = cells_l[ti] + cells_r[ti]
+    v_hat /= wsum
+    h_hat = cells_l[3] + cells_r[3]
+    h_hat /= wsum
     uu = u_hat * u_hat
-    kin_hat = 0.5 * (uu + v_hat * v_hat)
-    c2 = (gamma - 1.0) * (h_hat - kin_hat)
+    kin_hat = v_hat * v_hat
+    kin_hat += uu
+    kin_hat *= 0.5
+    c2 = np.subtract(h_hat, kin_hat, out=wsum)
+    c2 *= gamma - 1.0
     if not np.min(c2, initial=np.inf) > 0.0:  # guard, then locate, as _check_positive
         raise KernelError(
             "Roe-average sound speed is not real", element=_first_bad(~(c2 > 0.0)[np.newaxis])
         )
     c_hat = np.sqrt(c2)
 
-    d_rho, d_mn, d_mt, d_e = jump[0], jump[ni], jump[ti], jump[3]
-
-    a_shear = d_mt - v_hat * d_rho
+    a_shear = v_hat * d_rho
+    np.subtract(d_mt, a_shear, out=a_shear)
     shear_v = a_shear * v_hat
-    a_mid = (gamma - 1.0) / c2 * ((h_hat - uu) * d_rho + u_hat * d_mn - (d_e - shear_v))
-    span = (d_mn - u_hat * d_rho) / c_hat
-    a_plus = 0.5 * (span + d_rho - a_mid)
-    a_minus = d_rho - a_mid - a_plus
+    rest = h_hat - uu
+    rest *= d_rho
+    tmp = u_hat * d_mn
+    rest += tmp
+    np.subtract(d_e, shear_v, out=tmp)
+    rest -= tmp
+    a_mid = np.divide(gamma - 1.0, c2, out=waves[1, 0])
+    a_mid *= rest
+    span = np.multiply(u_hat, d_rho, out=rest)
+    np.subtract(d_mn, span, out=span)
+    span /= c_hat
+    a_plus = np.add(span, d_rho, out=waves[2, 0])
+    a_plus -= a_mid
+    a_plus *= 0.5
+    a_minus = np.subtract(d_rho, a_mid, out=waves[0, 0])
+    a_minus -= a_plus
 
-    speeds = _result_array((3,), d_rho)
-    speeds[0] = u_hat - c_hat
-    speeds[1] = u_hat
-    speeds[2] = u_hat + c_hat
-    uc = u_hat * c_hat
+    np.subtract(u_hat, c_hat, out=speeds[0])
+    np.add(u_hat, c_hat, out=speeds[2])
+    uc = np.multiply(u_hat, c_hat, out=c_hat)
 
-    waves = _result_array((3, 4), d_rho)
-    waves[0, 0] = a_minus
-    waves[0, ni] = a_minus * speeds[0]
-    waves[0, ti] = a_minus * v_hat
-    waves[0, 3] = a_minus * (h_hat - uc)
-    waves[1, 0] = a_mid
-    waves[1, ni] = a_mid * u_hat
-    waves[1, ti] = a_mid * v_hat + a_shear
-    waves[1, 3] = a_mid * kin_hat + shear_v
-    waves[2, 0] = a_plus
-    waves[2, ni] = a_plus * speeds[2]
-    waves[2, ti] = a_plus * v_hat
-    waves[2, 3] = a_plus * (h_hat + uc)
+    np.multiply(a_minus, speeds[0], out=waves[0, ni])
+    np.multiply(a_minus, v_hat, out=waves[0, ti])
+    np.subtract(h_hat, uc, out=tmp)
+    np.multiply(a_minus, tmp, out=waves[0, 3])
+    np.multiply(a_mid, u_hat, out=waves[1, ni])
+    np.multiply(a_mid, v_hat, out=waves[1, ti])
+    waves[1, ti] += a_shear
+    np.multiply(a_mid, kin_hat, out=waves[1, 3])
+    waves[1, 3] += shear_v
+    np.multiply(a_plus, speeds[2], out=waves[2, ni])
+    np.multiply(a_plus, v_hat, out=waves[2, ti])
+    np.add(h_hat, uc, out=tmp)
+    np.multiply(a_plus, tmp, out=waves[2, 3])
 
     neg = np.minimum(speeds, 0.0)
     pos = np.maximum(speeds, 0.0)
-    amdq = neg[0] * waves[0] + neg[1] * waves[1] + neg[2] * waves[2]
-    apdq = pos[0] * waves[0] + pos[1] * waves[1] + pos[2] * waves[2]
+    amdq = neg[0] * waves[0]
+    apdq = pos[0] * waves[0]
+    term = np.empty_like(amdq)
+    for k in (1, 2):
+        amdq += np.multiply(neg[k], waves[k], out=term)
+        apdq += np.multiply(pos[k], waves[k], out=term)
     return RiemannResult(waves, speeds, amdq, apdq)
 
 
+@_one_as_batch
 def rp_euler(direction: Direction, ql, qr, params: EulerParams,
              auxl=None, auxr=None) -> RiemannResult:
     """Ideal-gas dynamics via Roe linearization, three waves, no entropy fix.

@@ -17,12 +17,13 @@ width (tiles per row of tiles) as the alignment, so a default work-stealing
 leaf of at least half a band is whole bands, one rectangle, rather than a band
 and a splinter of the next in two or three.
 
-The call size depends on how many threads the region gets.  On more than one,
-calls are up to _MAX_BLOCK (32k) interfaces, which keeps interpreter-lock
-hand-offs between the threads rare.  On one thread there is no lock to share,
-so calls are cut to fit the cache instead: the most interfaces whose result
-fits 1.5 MiB (_serial_block).  Kernels are pointwise, so only call boundaries
-move and the fluctuations are bitwise the same either way.
+One rule sizes every kernel call: the most interfaces whose result fits a
+byte budget, up to a cap (_call_block).  The budget and cap depend on how
+many threads the region gets.  On one thread there is no lock to share, so
+calls fit the cache: 1.5 MiB of result, at most 32k interfaces.  On more,
+5.75 MiB and 64k, which keeps interpreter-lock hand-offs between the threads
+rare.  Kernels are pointwise, so only call boundaries move and the
+fluctuations are bitwise the same either way.
 
 Every kernel takes both directions per row block, x then y, with as many rows
 per block as the x-rows, the widest, fit in one call.  A kernel with a cell
@@ -58,34 +59,41 @@ from .kernels import (CELL_PASSES, CellPlanes, Direction, Kernel, KernelDescript
                       KernelError)
 from .parallel import Backend, ParallelError, Serial, for_each_unit
 
-# interfaces per kernel call when more than one thread runs the sweep, and the
-# cap on every call.  Sized for the interpreter lock, not a cache: one
-# 32k-interface Euler call peaks near 57 temporary planes (~14 MiB, far past a
-# 2 MiB per-core L2), but smaller calls mean more lock hand-offs between the
-# threads.  On a 2-core host, 2-thread steps ran 25-87% slower at 8k or 4k, and
-# 2-thread sweeps 12% (acoustics-tiled), 20% (euler-cellwise) and 52%
-# (advection-large) slower at 16k.  It also bounds the update's
-# temporaries (apply_update walks rows in chunks of at most this many cells),
-# and it sets the malloc thresholds pinned below.  Chunking never changes a
-# computed value.
-_MAX_BLOCK = 1 << 15
+# A kernel call holds the most interfaces whose result (waves, speeds, amdq
+# and apdq, float64) fits a byte budget, up to a cap: (budget, cap) below, for
+# a region on one thread and on more.  Only call boundaries move with them,
+# never a computed value.
+#
+# One thread, 1.5 MiB and 2^15: no lock to share, so calls fit the cache.  A
+# call's temporaries are a few times its result: an 8548-interface Euler call
+# peaks near 3.1 MiB, near a 2 MiB per-core L2.  The Euler kernel
+# microbenchmark was fastest at 2^13-2^14 interfaces per call, and these calls
+# cut euler-cellwise's serial step from 139.8 to 116.9 ms (BENCH_12.json).
+#
+# More threads, 5.75 MiB and 2^16: sized for the interpreter lock, not a cache,
+# since smaller calls mean more lock hand-offs between the threads.  On a
+# 2-core host, 2-thread steps ran 25-87% slower at 8k or 4k Euler interfaces,
+# and 2-thread sweeps 12% (acoustics-tiled), 20% (euler-cellwise) and 52%
+# (advection-large) slower at 16k, while advection-large's 2-thread sweep took
+# 48.8 ms at 64k against 59.0 ms at 32k.  The budget is Euler's 184 B x 2^15,
+# so Euler's calls stay at 32k, acoustics' reach 53,833 and advection's 64k,
+# which took advection-large from 276 to 135 kernel calls per threads2 step.
+_SERIAL_CALL = (3 << 19, 1 << 15)
+_THREADED_CALL = (23 << 18, 1 << 16)
 
-# result bytes of one kernel call when one thread runs the sweep.  A call's
-# temporaries are a few times its result: at this budget an Euler call peaks at
-# 3.6 MiB, near a 2 MiB per-core L2, against 14.3 MiB at _MAX_BLOCK.  The Euler
-# kernel microbenchmark was fastest at 2^13-2^14 interfaces per call, and the
-# 8.5k-interface calls cut euler-cellwise's serial step from 139.8 to 116.9 ms
-# (BENCH_12.json).
-_SERIAL_RESULT_BUDGET = 3 << 19  # 1.5 MiB
 
-
-def _serial_block(desc: KernelDescriptor) -> int:
-    """Interfaces per kernel call for a one-thread sweep: the most whose result
-    (waves, speeds, amdq and apdq, float64) fits _SERIAL_RESULT_BUDGET, capped
-    at _MAX_BLOCK.  Euler's 184 B per interface gives 8548, acoustics' 112 B
-    14043, and advection's 32 B the cap."""
+def _call_block(desc: KernelDescriptor, threads: int) -> int:
+    """Interfaces per kernel call for a region on `threads` threads.  One
+    thread: Euler 8548, acoustics 14043, advection 32768 (the cap).  More:
+    Euler 32768, acoustics 53833, advection 65536 (the cap)."""
+    budget, cap = _THREADED_CALL if threads > 1 else _SERIAL_CALL
     per_iface = 8 * (desc.num_waves * desc.num_eqn + desc.num_waves + 2 * desc.num_eqn)
-    return min(_MAX_BLOCK, _SERIAL_RESULT_BUDGET // per_iface)
+    return min(cap, budget // per_iface)
+
+
+# cells per update chunk: apply_update walks rows in chunks of at most this
+# many cells, which bounds its temporaries without changing a value
+_UPDATE_CHUNK = 1 << 15
 
 
 # glibc mallopt parameters (malloc.h)
@@ -100,13 +108,17 @@ def _pin_malloc_thresholds():
     top, so every kernel call faults its temporaries in again; its adaptive
     threshold only rises after a large free, which a step that reuses its
     fluctuation field never makes.  The thresholds are sized for the largest
-    call, a multi-thread sweep's _MAX_BLOCK one; a one-thread sweep's smaller
-    calls (_serial_block) fit them with room to spare.  4 MiB is above the
-    largest array one call creates at the cap (Euler's waves, 3 x 4 x 32768 x
-    8 B = 3 MiB); 32 MiB is above one Euler call's peak temporaries (about
-    14 MiB at the cap, measured with tracemalloc), so a freed call's memory
+    calls, a multi-thread sweep's (_call_block); a one-thread sweep's smaller
+    calls fit them with room to spare.  4 MiB is above the largest array one
+    call creates (Euler's waves at 32768 interfaces, 3 x 4 x 32768 x 8 B =
+    3 MiB; acoustics' at 53833, 2.5 MiB).  32 MiB is above the peak
+    temporaries of the largest calls two threads make at once (measured with
+    tracemalloc: 11.75 MiB per 32768-interface Euler call with cell planes,
+    14.25 MiB without, 8.2 MiB per 53833-interface acoustics call; an
+    8548-interface Euler call peaks at 3.07 MiB), so a freed call's memory
     stays for the next call.  Larger arrays, such as big grids' fields, still
-    come from mmap.  Other C libraries are left alone.
+    come from mmap; a trial at an 8 MiB mmap threshold took acoustics-tiled's
+    peak RSS from 161.7 to 170.4 MiB.  Other C libraries are left alone.
     """
     if platform.libc_ver()[0] != "glibc":
         return
@@ -346,7 +358,7 @@ def sweep(state: StateField, aux: AuxField | None, kernel: Kernel,
     tiles_i = -(-(nx + 1) // tile_w)
     tiles_j = -(-(ny + 1) // tile_h)
     threads = backend.threads_and_grain(tiles_i * tiles_j, tiles_i)[0]
-    block = _MAX_BLOCK if threads > 1 else _serial_block(kernel.descriptor)
+    block = _call_block(kernel.descriptor, threads)
     ctx = _SweepContext(state, aux, kernel, fluct, counter, block)
 
     def tile_run(t0, t1):
@@ -384,7 +396,7 @@ def apply_update(state: StateField, fluct: FluctuationField, dt: float,
         q -= dt/dy * (apdq_y[j] + amdq_y[j+1])
 
     applied in that fixed order, so results are bitwise reproducible across
-    backends.  Each leaf's rows are updated in chunks of at most _MAX_BLOCK
+    backends.  Each leaf's rows are updated in chunks of at most _UPDATE_CHUNK
     cells, which bounds the temporaries without changing a value.  Mutates
     and returns `state`.
     """
@@ -395,14 +407,19 @@ def apply_update(state: StateField, fluct: FluctuationField, dt: float,
     dtdx = dt / spec.dx
     dtdy = dt / spec.dy
 
-    chunk = max(1, _MAX_BLOCK // nx)
+    chunk = max(1, _UPDATE_CHUNK // nx)
 
     def rows(a, b):
         for c in range(a, b, chunk):
             d = min(c + chunk, b)
             cells = state.data[:, g : g + nx, g + c : g + d]
-            cells -= dtdx * (fluct.x_plus[:, 0:nx, c:d] + fluct.x_minus[:, 1 : nx + 1, c:d])
-            cells -= dtdy * (fluct.y_plus[:, :, c:d] + fluct.y_minus[:, :, c + 1 : d + 1])
+            # one temporary per chunk, scaled in place (t * dtdx is dtdx * t)
+            net = np.add(fluct.x_plus[:, 0:nx, c:d], fluct.x_minus[:, 1 : nx + 1, c:d])
+            net *= dtdx
+            cells -= net
+            np.add(fluct.y_plus[:, :, c:d], fluct.y_minus[:, :, c + 1 : d + 1], out=net)
+            net *= dtdy
+            cells -= net
 
     for_each_unit(ny, backend, rows)
     return state

@@ -1,4 +1,5 @@
 
+import hashlib
 import inspect
 import warnings
 
@@ -236,8 +237,11 @@ class TestEuler:
         with pytest.raises(KernelError, match="density on left"):
             rp_euler(Direction.X, bad_rho, SOD_R, self.P)
         bad_p = np.array([1.0, 10.0, 0.0, 2.5])  # kinetic energy exceeds total
-        with pytest.raises(KernelError, match="pressure on right"):
+        with pytest.raises(KernelError, match="pressure on right") as exc:
             rp_euler(Direction.X, SOD_L, bad_p, self.P)
+        assert exc.value.element == ()  # a single interface has no batch index
+        with pytest.raises(ValueError, match=r"got \(4,\) and \(3,\)"):
+            rp_euler(Direction.X, SOD_L, SOD_R[:3], self.P)
 
     def test_batched_error_reports_offending_element(self):
         ql = np.tile(SOD_L[:, None], (1, 8)).copy()
@@ -501,3 +505,124 @@ class TestMakeKernel:
         assert make_kernel("acoustics-const", rho=1, bulk=4).params == {"rho": 1.0, "bulk": 4.0}
         with pytest.raises(ValueError, match="unexpected"):
             make_kernel("euler", mach=3)
+
+
+def _golden_case(name: str, direction: Direction, case: str):
+    """Inputs of one pinned kernel call, drawn from uniform variates only.
+
+    `case` is "single" (one interface), "batch" (a 1-D batch of 7) or
+    "planar" (an 8 x 6 block cut, as a sweep cuts it, from a
+    component-planar 11 x 9 field); a "+planes" suffix hands Euler the
+    CellPlanes of both sides in the aux slots.
+    """
+    rng = np.random.default_rng(20)
+    neqn = DESCRIPTORS[name].num_eqn
+    base, _, planes = case.partition("+")
+    shape = {"single": (2,), "batch": (2, 7), "planar": (11, 9)}[base]
+    n = int(np.prod(shape))
+    if name == "euler":
+        q = random_gas_states(rng, n, 1.4).reshape((4,) + shape)
+    else:
+        q = rng.uniform(-2.0, 2.0, (neqn,) + shape)
+    aux = rng.uniform(0.5, 2.0, (2,) + shape)
+    if base == "planar":
+        q, aux = _layouts(q)["planar"], _layouts(aux)["planar"]
+        di, dj = (1, 0) if direction is Direction.X else (0, 1)
+        left = (slice(1 - di, 9 - di), slice(1 - dj, 7 - dj))
+        right = (slice(1, 9), slice(1, 7))
+    else:
+        left, right = (0,), (1,)    # single: cells 0 and 1; batch: rows 0 and 1
+    ql, qr = q[(slice(None),) + left], q[(slice(None),) + right]
+    auxl, auxr = aux[(slice(None),) + left], aux[(slice(None),) + right]
+    if planes:
+        cells = euler_cell_planes(q, 1.4)
+        auxl, auxr = cells[left], cells[right]
+    return ql, qr, auxl, auxr
+
+
+# first 12 hex digits of the SHA-1 of each result array's C-order bytes:
+# waves, speeds, amdq, apdq
+GOLDEN = {
+    "advection/x/single": "3e6f1cc7acbb dd58a0f3fcf1 05fe40575316 622dab3cce94",
+    "advection/x/batch": "4586ad3bc753 316c3053515d 72449087fc8e 841ea6a39ad8",
+    "advection/x/planar": "d3066762982b 88cd523b506c c641b1bb2f62 95ad214bb2fe",
+    "advection/y/single": "3e6f1cc7acbb 7a2f901f23c2 318079eca2a5 05fe40575316",
+    "advection/y/batch": "4586ad3bc753 82f7fd82faf5 f15efc09c615 72449087fc8e",
+    "advection/y/planar": "0a195fa9da0b 7b8d3e74cf1b 3907ec9095b3 f1356f793928",
+    "acoustics-const/x/single": "a3f2157157a3 e6e8575e7a6a 84e96745f855 b6dd4bffc576",
+    "acoustics-const/x/batch": "d2bf000f0f26 d4a7566a8a28 09b025501d31 be6be87b83af",
+    "acoustics-const/x/planar": "43492e94792b 85cd1772d9cb d9b18ab9b19e aa5cf9d68ca8",
+    "acoustics-const/y/single": "fd9f99890c12 e6e8575e7a6a 2eacf8124b91 ca46c829ebbc",
+    "acoustics-const/y/batch": "7427b2a86eb4 d4a7566a8a28 8262292bee0d 8fb779524292",
+    "acoustics-const/y/planar": "fdd7f2d2b53b 85cd1772d9cb 02b5991b22d1 5afeef8166f3",
+    "acoustics-var/x/single": "ffa5fb4be33f 5d6a17793a12 f4994aa232d2 48f57d5ba476",
+    "acoustics-var/x/batch": "4cabc362b20d 6d0b0bb4c218 87a2ab5f1e8f b833593af804",
+    "acoustics-var/x/planar": "ed66127d8e27 c0367233537c 244499e64bc7 caf1560d3fa2",
+    "acoustics-var/y/single": "c0dcb31ec4ae 5d6a17793a12 fe73fa188854 0c509d62604c",
+    "acoustics-var/y/batch": "0130dc8134c8 6d0b0bb4c218 dd71e3269907 13aad34b3fed",
+    "acoustics-var/y/planar": "416b04a0f7fc fece08fe4720 4bae2ac85cd0 95905384cb2c",
+    "euler/x/single": "92a23521d64d de268e19c51f f31bfe84522d fed069a69899",
+    "euler/x/batch": "3538a1a603ba 92ea00e44ff7 6055bb414898 8dd3627b3e30",
+    "euler/x/planar": "ebddb51cdfc7 07f535c91e86 2efd95c61a84 d862ba631678",
+    "euler/x/single+planes": "92a23521d64d de268e19c51f f31bfe84522d fed069a69899",
+    "euler/x/batch+planes": "3538a1a603ba 92ea00e44ff7 6055bb414898 8dd3627b3e30",
+    "euler/x/planar+planes": "ebddb51cdfc7 07f535c91e86 2efd95c61a84 d862ba631678",
+    "euler/y/single": "eba467bf5103 012be3c32331 5732850a3b02 de8a847bff8c",
+    "euler/y/batch": "eaeb9b727271 d70fc0502531 7a6abf587d5e 1aea58e24f1d",
+    "euler/y/planar": "4c50c78ee36c ddf5062f49d5 9de21010549a 7b05610f705a",
+    "euler/y/single+planes": "eba467bf5103 012be3c32331 5732850a3b02 de8a847bff8c",
+    "euler/y/batch+planes": "eaeb9b727271 d70fc0502531 7a6abf587d5e 1aea58e24f1d",
+    "euler/y/planar+planes": "4c50c78ee36c ddf5062f49d5 9de21010549a 7b05610f705a",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_results_match_golden_digests(key):
+    name, d, case = key.rsplit("/", 2)
+    direction = Direction(d)
+    ql, qr, auxl, auxr = _golden_case(name, direction, case)
+    res = make_kernel(name, **KERNEL_PARAMS[name]).solve(direction, ql, qr, auxl, auxr)
+    got = " ".join(hashlib.sha1(_bits(getattr(res, field))).hexdigest()[:12]
+                   for field in ("waves", "speeds", "amdq", "apdq"))
+    assert got == GOLDEN[key]
+
+
+def _input_arrays(*args) -> list:
+    """The arrays among kernel arguments, CellPlanes opened into their planes."""
+    arrays = []
+    for arg in args:
+        arrays += arg.planes if isinstance(arg, CellPlanes) else [arg]
+    return [np.asarray(a) for a in arrays]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_results_are_fresh_and_inputs_untouched(key):
+    # a sweep's concurrent leaves share input fields and keep their results,
+    # so a call may neither write its inputs nor hand back memory that an
+    # input or another call's result also owns
+    name, d, case = key.rsplit("/", 2)
+    direction = Direction(d)
+    args = _golden_case(name, direction, case)
+    inputs = _input_arrays(*args)
+    before = [_bits(a) for a in inputs]
+    kernel = make_kernel(name, **KERNEL_PARAMS[name])
+    first, second = (kernel.solve(direction, *args) for _ in range(2))
+    assert [_bits(a) for a in inputs] == before
+    for field in ("waves", "speeds", "amdq", "apdq"):
+        out = getattr(second, field)
+        assert not any(np.shares_memory(out, a) for a in inputs), field
+        assert not any(np.shares_memory(out, getattr(first, f))
+                       for f in ("waves", "speeds", "amdq", "apdq")), field
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (2, 7), (11, 9)])
+def test_cell_planes_are_fresh_and_states_untouched(shape):
+    q = random_gas_states(np.random.default_rng(21), int(np.prod(shape)), 1.4) \
+        .reshape((4,) + shape)
+    q = _layouts(q)["planar"] if len(shape) == 2 else q
+    before = _bits(q)
+    first, second = (euler_cell_planes(q, 1.4) for _ in range(2))
+    assert _bits(q) == before
+    for plane in second.planes:
+        assert not np.shares_memory(plane, q)
+        assert not any(np.shares_memory(plane, p) for p in first.planes)

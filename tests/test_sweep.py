@@ -13,7 +13,7 @@ from wavesweep.kernels import (KERNEL_NAMES, CellPlanes, Direction, Kernel, Kern
 from wavesweep.oracles import random_gas_states
 from wavesweep.parallel import (ParallelError, Serial, StaticThreads, WorkStealing,
                                 for_each_unit)
-from wavesweep.sweep import (_MAX_BLOCK, CellWise, RowWise, SweepError, Tiled,
+from wavesweep.sweep import (_UPDATE_CHUNK, CellWise, RowWise, SweepError, Tiled,
                              apply_update, sweep)
 
 PER = BoundaryCondition.PERIODIC
@@ -262,7 +262,7 @@ def test_tiled_serial_makes_cellwise_call_count():
 
 @pytest.mark.parametrize("backend", [WorkStealing(2, 1), WorkStealing(2), StaticThreads(2)])
 def test_tiled_leaf_coalesces_tiles(monkeypatch, backend):
-    # 17x17 tiles of 8x8: every rectangle a leaf covers is below _MAX_BLOCK, so
+    # 17x17 tiles of 8x8: every rectangle a leaf covers fits one call, so
     # a leaf's at most three rectangles take at most six kernel calls
     spec, state = filled_gas_field(128, 128, seed=10)
     aux = AuxField(spec)
@@ -304,8 +304,7 @@ def test_serial_call_size_moves_only_call_boundaries(monkeypatch):
     # 160x160 Euler has 161-interface rows.  One thread calls the kernel on
     # 8548 // 161 = 53 rows at a time (X rows 0-52, 53-105, 106-158, 159;
     # Y rows 0-52, ..., 159-160), so a serial sweep makes 4 + 4 calls; on
-    # two threads every leaf is under _MAX_BLOCK and makes one call per
-    # direction.
+    # two threads every leaf fits one 32768-interface call per direction.
     spec, state = filled_gas_field(160, 160, seed=12)
     aux = AuxField(spec)
     kernel = make_kernel("euler")
@@ -351,6 +350,40 @@ def test_plain_kernel_takes_both_directions_per_row_block(monkeypatch):
     sweep(state, aux, make_kernel("advection", u=1.0, v=1.0), CellWise(), Serial())
     X, Y = Direction.X, Direction.Y
     assert calls == [(X, 0, 15), (Y, 0, 15), (X, 15, 30), (Y, 15, 30), (Y, 30, 31)]
+
+
+@pytest.mark.parametrize("name,nx,ny,rows", [
+    # a multi-thread call holds the most interfaces whose result fits
+    # 5.75 MiB, at most 2^16: 65536 // 2049 = 31 advection x-rows (32 B per
+    # interface), 32768 // 513 = 63 Euler x-rows (184 B per interface)
+    ("advection", 2048, 80, 31),
+    ("euler", 512, 200, 63),
+])
+def test_multi_thread_call_size(monkeypatch, name, nx, ny, rows):
+    spec = GridSpec(nx=nx, ny=ny, dx=1.0 / nx, dy=1.0 / ny,
+                    num_eqn=1 if name == "advection" else 4)
+    state, aux, _ = allocate_fields(spec)
+    if name == "euler":
+        state.interior[:] = random_gas_states(np.random.default_rng(3), nx * ny, 1.4) \
+            .reshape(4, nx, ny)
+    fill_ghost(state, PER, PER)
+    calls = []
+    call = sweep_mod._SweepContext._call
+
+    def recording_call(ctx, d, ia, ib, a, b, cells=None):
+        calls.append((d.value, a, b))
+        return call(ctx, d, ia, ib, a, b, cells)
+
+    monkeypatch.setattr(sweep_mod._SweepContext, "_call", recording_call)
+    sweep(state, aux, make_kernel(name, **({"u": 1.0, "v": 1.0} if name == "advection" else {})),
+          CellWise(), StaticThreads(2))
+    # StaticThreads(2) leaves are rows [0, half) and [half, ny + 1), each cut
+    # into blocks of `rows` rows; the top x-row is ny - 1
+    half = -(-(ny + 1) // 2)
+    blocks = [(a, min(a + rows, stop)) for start, stop in ((0, half), (half, ny + 1))
+              for a in range(start, stop, rows)]
+    assert sorted(calls) == sorted((d, a, min(b, ny if d == "x" else ny + 1))
+                                   for d in "xy" for a, b in blocks)
 
 
 @pytest.mark.parametrize("backend", [Serial(), WorkStealing(2)])
@@ -447,9 +480,9 @@ class TestApplyUpdate:
         assert np.array_equal(serial.data, threaded.data)
 
     @pytest.mark.parametrize("backend", [Serial(), StaticThreads(2)])
-    @pytest.mark.parametrize("nx,ny", [(_MAX_BLOCK + 5, 3), (1000, 70)])
+    @pytest.mark.parametrize("nx,ny", [(_UPDATE_CHUNK + 5, 3), (1000, 70)])
     def test_blocked_update_equals_whole_grid_expression(self, nx, ny, backend):
-        # rows are updated in chunks of max(1, _MAX_BLOCK // nx): 1 row, or 32 rows
+        # rows are updated in chunks of max(1, _UPDATE_CHUNK // nx): 1 row, or 32 rows
         spec = GridSpec(nx=nx, ny=ny, dx=0.3, dy=0.7, num_eqn=1)
         rng = np.random.default_rng(9)
         state = StateField(spec)
