@@ -11,6 +11,7 @@ Because no two cells run concurrently, timings are isolated.
 
 from __future__ import annotations
 
+import contextlib
 import statistics
 import sys
 import time
@@ -217,6 +218,15 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def open_csv(target, mode: str):
+    """A context yielding `target` if it is a file object, stdout if it is
+    None, else the file at path `target`, opened here in `mode` (so a bad
+    path fails at this call) and closed on exit."""
+    if target is None or hasattr(target, "read" if mode == "r" else "write"):
+        return contextlib.nullcontext(sys.stdout if target is None else target)
+    return open(target, mode, encoding="utf-8")
+
+
 def emit_csv(records: list[BenchRecord], out=None) -> None:
     """Write records as CSV: exact header, 6 significant digits for reals.
 
@@ -224,15 +234,7 @@ def emit_csv(records: list[BenchRecord], out=None) -> None:
     the record list (the bench's enumeration order), so re-running an
     identical configuration reproduces every non-timing column exactly.
     """
-    own = False
-    if out is None:
-        fh = sys.stdout
-    elif hasattr(out, "write"):
-        fh = out
-    else:
-        fh = open(out, "w", encoding="utf-8")
-        own = True
-    try:
+    with open_csv(out, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in records:
             fh.write(",".join([
@@ -240,24 +242,12 @@ def emit_csv(records: list[BenchRecord], out=None) -> None:
                 str(r.threads), str(r.steps), _fmt(r.ms_per_step),
                 _fmt(r.mcells_per_s), _fmt(r.speedup), _fmt(r.efficiency),
             ]) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def parse_csv(source) -> list[BenchRecord]:
     """Read back an emit_csv file (path or file object)."""
-    own = False
-    if hasattr(source, "read"):
-        fh = source
-    else:
-        fh = open(source, "r", encoding="utf-8")
-        own = True
-    try:
+    with open_csv(source, "r") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    finally:
-        if own:
-            fh.close()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError("not a bench CSV: bad or missing header")
     records = []

@@ -11,8 +11,8 @@ import sys
 from dataclasses import dataclass
 
 from .bench import (BACKEND_NAMES, STRATEGY_NAMES, BenchConfig, BenchGuardError,
-                    emit_csv, make_backend, make_strategy, run_bench)
-from .driver import (DEFAULT_IC, IC_KERNEL, SimulationConfig, StepLimitError, StepReport,
+                    emit_csv, make_backend, make_strategy, open_csv, run_bench)
+from .driver import (DEFAULT_IC, SimulationConfig, StepLimitError, StepReport,
                      TimestepController, integrate, unit_square_spec)
 from .grid import GridSpec
 from .kernels import KERNEL_NAMES
@@ -134,6 +134,8 @@ def parse_args(argv) -> BenchConfig | RunConfig | VerifyConfig:
     args = parser.parse_args(argv)
 
     if args.command == "verify":
+        if args.seed < 0:  # numpy's generators take only non-negative seeds
+            parser.error(f"--seed must be >= 0, got {args.seed}")
         return VerifyConfig(seed=args.seed)
 
     tile = _parse_tile(parser, args.tile)
@@ -141,12 +143,6 @@ def parse_args(argv) -> BenchConfig | RunConfig | VerifyConfig:
         if args.steps is not None and args.t_final is not None:
             parser.error("--steps and --t-final are mutually exclusive")
         steps = 10 if (args.steps is None and args.t_final is None) else args.steps
-        kernel = args.kernel
-        ic = args.ic or DEFAULT_IC[kernel]
-        if ic not in IC_KERNEL:
-            parser.error(f"unknown --ic {ic!r}; choose from {', '.join(IC_KERNEL)}")
-        if IC_KERNEL[ic] != kernel:
-            parser.error(f"--ic {ic} is for --kernel {IC_KERNEL[ic]}, not {kernel}")
         # the periodic ghost fill wraps num_ghost interior cells, so no side may be shorter
         if min(args.nx, args.ny) < GridSpec.num_ghost:
             parser.error(f"--nx/--ny must be >= {GridSpec.num_ghost} (the ghost frame), "
@@ -158,8 +154,9 @@ def parse_args(argv) -> BenchConfig | RunConfig | VerifyConfig:
             parser.error(f"--grain applies only to --backend workstealing, not {args.backend}")
         try:
             return RunConfig(
-                sim=SimulationConfig(spec=unit_square_spec(kernel, args.nx, args.ny),
-                                     kernel=kernel, ic=ic,
+                sim=SimulationConfig(spec=unit_square_spec(args.kernel, args.nx, args.ny),
+                                     kernel=args.kernel,
+                                     ic=args.ic or DEFAULT_IC[args.kernel],
                                      strategy=make_strategy(args.strategy, tile),
                                      backend=make_backend(args.backend, threads, args.grain),
                                      t_final=args.t_final, num_steps=steps),
@@ -206,12 +203,18 @@ def _do_run(cfg: RunConfig) -> int:
 
 
 def _do_bench(cfg: BenchConfig) -> int:
-    try:
-        records = run_bench(cfg, progress=lambda msg: print(msg, file=sys.stderr))
-    except BenchGuardError as exc:
-        print(f"bench aborted: {exc}", file=sys.stderr)
-        return 1
-    emit_csv(records, cfg.out)
+    try:  # before the matrix runs, so a bad --out fails at once, not after it
+        out = open_csv(cfg.out, "w")
+    except OSError as exc:
+        print(f"cannot write --out: {exc}", file=sys.stderr)
+        return 2
+    with out as fh:
+        try:
+            records = run_bench(cfg, progress=lambda msg: print(msg, file=sys.stderr))
+        except BenchGuardError as exc:
+            print(f"bench aborted: {exc}", file=sys.stderr)
+            return 1
+        emit_csv(records, fh)
     return 0
 
 

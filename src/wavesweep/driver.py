@@ -3,6 +3,7 @@ sweep / update loop, and built-in initial conditions for each kernel."""
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -66,7 +67,8 @@ def choose_dt(max_sx: float, max_sy: float, dx: float, dy: float,
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """One complete simulation setup.  Exactly one of t_final/num_steps."""
+    """One complete simulation setup.  Exactly one of t_final/num_steps; the
+    ic names an INITIAL_CONDITIONS entry declared for this kernel."""
 
     spec: GridSpec
     kernel: str
@@ -81,10 +83,15 @@ class SimulationConfig:
     def __post_init__(self):
         if self.kernel not in DESCRIPTORS:
             raise ValueError(f"unknown kernel {self.kernel!r}")
+        ic_kernel = _lookup_ic(self.ic).kernel
+        if ic_kernel != self.kernel:
+            raise ValueError(f"initial condition {self.ic} is for kernel {ic_kernel}, "
+                             f"not {self.kernel}")
         if (self.t_final is None) == (self.num_steps is None):
             raise ValueError("exactly one of t_final and num_steps must be set")
-        if self.t_final is not None and not self.t_final >= 0:
-            raise ValueError(f"t_final must be >= 0, got {self.t_final}")
+        if self.t_final is not None and not (math.isfinite(self.t_final)
+                                             and self.t_final >= 0):
+            raise ValueError(f"t_final must be finite and >= 0, got {self.t_final}")
         if self.num_steps is not None and self.num_steps < 0:
             raise ValueError(f"num_steps must be >= 0, got {self.num_steps}")
 
@@ -100,24 +107,6 @@ class StepReport:
     max_speed_x: float
     max_speed_y: float
 
-
-# initial condition -> kernel parameters it implies
-IC_DEFAULT_PARAMS = {
-    "advection-gaussian": {"u": 1.0, "v": 1.0},
-    "acoustics-pulse": {"rho": 1.0, "bulk": 1.0},
-    "acoustics-var-interface": {},
-    "euler-sod-x": {"gamma": 1.4},
-    "euler-uniform": {"gamma": 1.4},
-}
-
-# the kernel each initial condition is meant to exercise
-IC_KERNEL = {
-    "advection-gaussian": "advection",
-    "acoustics-pulse": "acoustics-const",
-    "acoustics-var-interface": "acoustics-var",
-    "euler-sod-x": "euler",
-    "euler-uniform": "euler",
-}
 
 DEFAULT_IC = {
     "advection": "advection-gaussian",
@@ -137,13 +126,13 @@ def unit_square_spec(kernel: str, nx: int, ny: int) -> GridSpec:
                     num_eqn=desc.num_eqn, num_aux=desc.num_aux)
 
 
-def gaussian_profile(spec: GridSpec):
-    """Unit-amplitude Gaussian bump centered in the domain.
+def gaussian_profile(spec: GridSpec, x_frac: float = 0.5):
+    """Unit-amplitude Gaussian bump at x_frac of the width, centered in y.
 
     Width is min(domain extent)/16, so the tails are far below double
     precision at the boundary and the profile is effectively periodic.
     """
-    cx, cy = 0.5 * spec.width, 0.5 * spec.height
+    cx, cy = x_frac * spec.width, 0.5 * spec.height
     sigma = min(spec.width, spec.height) / 16.0
 
     def profile(x, y):
@@ -152,8 +141,53 @@ def gaussian_profile(spec: GridSpec):
     return profile
 
 
-def _centers(spec: GridSpec):
-    return np.meshgrid(spec.x_centers(), spec.y_centers(), indexing="ij")
+def _fill_bump(spec, xx, yy, q, aux):
+    q[0] = gaussian_profile(spec)(xx, yy)  # a tracer, or a pressure bump at rest
+
+
+def _fill_interface(spec, xx, yy, q, aux):
+    q[0] = gaussian_profile(spec, 0.25)(xx, yy)
+    aux[0] = 1.0
+    aux[1] = np.where(xx < 0.5 * spec.width, 1.0, 3.0)
+
+
+def _fill_sod_x(spec, xx, yy, q, aux):
+    left = xx < 0.5 * spec.width
+    for comp in range(4):
+        q[comp] = np.where(left, SOD_LEFT[comp], SOD_RIGHT[comp])
+
+
+def _fill_uniform(spec, xx, yy, q, aux):
+    for comp in range(4):
+        q[comp] = SOD_LEFT[comp]
+
+
+@dataclass(frozen=True)
+class InitialCondition:
+    """A named initial condition: the kernel it is for, the kernel parameters
+    it implies, and fill(spec, xx, yy, q, aux), which writes the interior
+    state q and aux given the cell centers xx, yy."""
+
+    kernel: str
+    params: dict
+    fill: Callable[..., None]
+
+
+INITIAL_CONDITIONS: dict[str, InitialCondition] = {
+    "advection-gaussian": InitialCondition("advection", {"u": 1.0, "v": 1.0}, _fill_bump),
+    "acoustics-pulse": InitialCondition("acoustics-const", {"rho": 1.0, "bulk": 1.0},
+                                        _fill_bump),
+    "acoustics-var-interface": InitialCondition("acoustics-var", {}, _fill_interface),
+    "euler-sod-x": InitialCondition("euler", {"gamma": 1.4}, _fill_sod_x),
+    "euler-uniform": InitialCondition("euler", {"gamma": 1.4}, _fill_uniform),
+}
+
+
+def _lookup_ic(name: str) -> InitialCondition:
+    if name not in INITIAL_CONDITIONS:
+        raise ValueError(f"unknown initial condition {name!r}; "
+                         f"available: {', '.join(INITIAL_CONDITIONS)}")
+    return INITIAL_CONDITIONS[name]
 
 
 def initial_condition(name: str, spec: GridSpec) -> tuple[StateField, AuxField, dict]:
@@ -163,48 +197,23 @@ def initial_condition(name: str, spec: GridSpec) -> tuple[StateField, AuxField, 
     Ghost cells are left zero; they are filled from the boundary conditions
     at step time.
     """
-    params = IC_DEFAULT_PARAMS.get(name)
-    if params is None:
-        raise ValueError(f"unknown initial condition {name!r}; "
-                         f"available: {', '.join(IC_DEFAULT_PARAMS)}")
-    kernel = IC_KERNEL[name]
-    want_eqn = DESCRIPTORS[kernel].num_eqn
-    want_aux = DESCRIPTORS[kernel].num_aux
-    if spec.num_eqn != want_eqn or spec.num_aux != want_aux:
+    ic = _lookup_ic(name)
+    desc = DESCRIPTORS[ic.kernel]
+    if spec.num_eqn != desc.num_eqn or spec.num_aux != desc.num_aux:
         raise ValueError(
-            f"{name} needs num_eqn={want_eqn}, num_aux={want_aux}; "
+            f"{name} needs num_eqn={desc.num_eqn}, num_aux={desc.num_aux}; "
             f"grid has num_eqn={spec.num_eqn}, num_aux={spec.num_aux}"
         )
-
     state = StateField(spec)
     aux = AuxField(spec)
-    xx, yy = _centers(spec)
-
-    if name == "advection-gaussian":
-        state.interior[0] = gaussian_profile(spec)(xx, yy)
-    elif name == "acoustics-pulse":
-        state.interior[0] = gaussian_profile(spec)(xx, yy)  # pressure bump at rest
-    elif name == "acoustics-var-interface":
-        cx, cy = 0.25 * spec.width, 0.5 * spec.height
-        sigma = min(spec.width, spec.height) / 16.0
-        state.interior[0] = np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * sigma * sigma))
-        left = xx < 0.5 * spec.width
-        aux.interior[0] = 1.0
-        aux.interior[1] = np.where(left, 1.0, 3.0)
-    elif name == "euler-sod-x":
-        left = xx < 0.5 * spec.width
-        for comp in range(4):
-            state.interior[comp] = np.where(left, SOD_LEFT[comp], SOD_RIGHT[comp])
-    elif name == "euler-uniform":
-        for comp in range(4):
-            state.interior[comp] = SOD_LEFT[comp]
-
-    return state, aux, dict(params)
+    xx, yy = np.meshgrid(spec.x_centers(), spec.y_centers(), indexing="ij")
+    ic.fill(spec, xx, yy, state.interior, aux.interior)
+    return state, aux, dict(ic.params)
 
 
 def resolve_kernel(config: SimulationConfig) -> Kernel:
     """Bind the configured kernel to the parameters its IC implies."""
-    return make_kernel(config.kernel, **IC_DEFAULT_PARAMS.get(config.ic, {}))
+    return make_kernel(config.kernel, **INITIAL_CONDITIONS[config.ic].params)
 
 
 # one fluctuation field per stepping thread, reused by every step on a grid of

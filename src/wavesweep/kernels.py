@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce, wraps
 from typing import Callable
 
@@ -77,22 +77,28 @@ class RiemannResult:
 
 @dataclass(frozen=True)
 class KernelDescriptor:
-    """Static metadata for one kernel family."""
+    """One kernel family, declared once, as its entry in DESCRIPTORS.
+
+    `bind(**params)` returns the family's solve(direction, ql, qr, auxl=None,
+    auxr=None) for those parameters; its signature, the kernel's parameter
+    list, is inspected once here rather than on every make_kernel call.  A
+    `cell_pass`, if any, is called as cell_pass(q, **kernel.params) on a block
+    of cells: what the solver would compute for each cell on every side it is
+    read from, once, wrapped for its solve's aux slots, or None when the block
+    fails the solver's checks.  A sweep reads it here, not from the bound
+    solve, so a Kernel rebuilt around a wrapped solve keeps its cell pass.
+    """
 
     name: str
     num_eqn: int
     num_waves: int
     num_aux: int
+    bind: Callable[..., Callable[..., RiemannResult]]
+    cell_pass: Callable[..., CellPlanes | None] | None = None
+    signature: inspect.Signature = field(init=False, repr=False)
 
-
-DESCRIPTORS: dict[str, KernelDescriptor] = {
-    "advection": KernelDescriptor("advection", 1, 1, 0),
-    "acoustics-const": KernelDescriptor("acoustics-const", 3, 2, 0),
-    "acoustics-var": KernelDescriptor("acoustics-var", 3, 2, 2),
-    "euler": KernelDescriptor("euler", 4, 3, 0),
-}
-
-KERNEL_NAMES = tuple(DESCRIPTORS)
+    def __post_init__(self):
+        object.__setattr__(self, "signature", inspect.signature(self.bind))
 
 
 @dataclass(frozen=True)
@@ -578,7 +584,6 @@ class Kernel:
     `solve(direction, ql, qr, auxl, auxr)` applies the underlying pointwise
     solver.  Kernels that take no aux ignore the aux arguments, except that
     Euler reads CellPlanes there (see `rp_euler`); a plain array is ignored.
-    A sweep finds a kernel's cell pass in CELL_PASSES by descriptor name.
     """
 
     def __init__(self, descriptor: KernelDescriptor, params: dict,
@@ -626,39 +631,31 @@ def _bind_euler(gamma=1.4):
     return solve
 
 
-# kernel name -> (binder, its signature); a binder's signature is the kernel's
-# parameter list, inspected once here rather than on every make_kernel call
-_BINDERS = {
-    name: (binder, inspect.signature(binder))
-    for name, binder in (("advection", _bind_advection),
-                         ("acoustics-const", _bind_acoustics_const),
-                         ("acoustics-var", _bind_acoustics_var),
-                         ("euler", _bind_euler))
+DESCRIPTORS: dict[str, KernelDescriptor] = {
+    "advection": KernelDescriptor("advection", 1, 1, 0, _bind_advection),
+    "acoustics-const": KernelDescriptor("acoustics-const", 3, 2, 0, _bind_acoustics_const),
+    "acoustics-var": KernelDescriptor("acoustics-var", 3, 2, 2, _bind_acoustics_var),
+    "euler": KernelDescriptor("euler", 4, 3, 0, _bind_euler, euler_cell_planes),
 }
 
-
-# kernel name -> its cell pass, called as cell_pass(q, **kernel.params) on a
-# block of cells: what the solver would compute for each cell on every side it
-# is read from, once, wrapped for its solve's aux slots, or None when the
-# block fails the solver's checks.  Looked up by name, not found on the bound
-# solve, so a Kernel rebuilt around a wrapped solve keeps its cell pass.
-CELL_PASSES: dict[str, Callable[..., CellPlanes | None]] = {"euler": euler_cell_planes}
+KERNEL_NAMES = tuple(DESCRIPTORS)
 
 
 def make_kernel(name: str, **params) -> Kernel:
-    """Bind one of the built-in kernels to concrete (float) parameters.
+    """Bind a kernel declared in DESCRIPTORS to concrete (float) parameters.
 
-    advection(u, v), acoustics-const(rho, bulk), acoustics-var() which
-    reads per-cell (rho, c) from the aux field, euler(gamma=1.4).  An
-    unknown kernel and unexpected or missing parameters raise ValueError.
+    The built-ins take advection(u, v), acoustics-const(rho, bulk),
+    acoustics-var() which reads per-cell (rho, c) from the aux field, and
+    euler(gamma=1.4).  An unknown kernel and unexpected or missing parameters
+    raise ValueError.
     """
-    if name not in _BINDERS:
-        raise ValueError(f"unknown kernel {name!r}; available: {', '.join(KERNEL_NAMES)}")
-    binder, signature = _BINDERS[name]
+    desc = DESCRIPTORS.get(name)
+    if desc is None:
+        raise ValueError(f"unknown kernel {name!r}; available: {', '.join(DESCRIPTORS)}")
     try:
-        bound = signature.bind(**params)
+        bound = desc.signature.bind(**params)
     except TypeError as exc:
         raise ValueError(f"bad parameters for kernel {name}: {exc}") from None
     bound.apply_defaults()
     values = {k: float(v) for k, v in bound.arguments.items()}
-    return Kernel(DESCRIPTORS[name], values, binder(**values))
+    return Kernel(desc, values, desc.bind(**values))

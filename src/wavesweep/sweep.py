@@ -27,8 +27,8 @@ fluctuations are bitwise the same either way.
 
 Every kernel takes both directions per row block, x then y, with as many rows
 per block as the x-rows, the widest, fit in one call.  A kernel with a cell
-pass (kernels.CELL_PASSES, today Euler's) also computes each cell once per
-block: the pass covers the cells the block's x- and y-calls read, plus one
+pass (its descriptor's cell_pass, today Euler's) also computes each cell once
+per block: the pass covers the cells the block's x- and y-calls read, plus one
 halo column and row, and hands them to both calls in the aux slots.  It is
 guarded by one reduction each for density, pressure and finiteness; a block
 that trips the guard is solved by the plain calls, which compute the same
@@ -55,8 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import AuxField, FluctuationField, StateField
-from .kernels import (CELL_PASSES, CellPlanes, Direction, Kernel, KernelDescriptor,
-                      KernelError)
+from .kernels import CellPlanes, Direction, Kernel, KernelDescriptor, KernelError
 from .parallel import Backend, ParallelError, Serial, for_each_unit
 
 # A kernel call holds the most interfaces whose result (waves, speeds, amdq
@@ -225,7 +224,7 @@ class _SweepContext:
         self.q = state.data
         self.aux = aux.data if (aux is not None and aux.num_comp) else None
         self.kernel = kernel
-        self.cell_pass = CELL_PASSES.get(kernel.descriptor.name)
+        self.cell_pass = kernel.descriptor.cell_pass
         self.fluct = fluct
         self.counter = counter
         self.block = block

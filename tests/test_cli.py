@@ -87,6 +87,8 @@ class TestParseRun:
         ["run", "--steps", "-1"],
         ["run", "--backend", "workstealing", "--grain", "0"],
         ["run", "--cfl", "1.0"],
+        ["run", "--t-final", "inf"],
+        ["run", "--ic", "vortex"],
     ])
     def test_usage_errors_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -128,6 +130,13 @@ class TestParseRun:
 def test_parse_verify():
     cfg = parse_args(["verify", "--seed", "42"])
     assert cfg == VerifyConfig(seed=42)
+
+
+def test_negative_verify_seed_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["verify", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 class TestMain:
@@ -186,6 +195,23 @@ class TestMain:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("kernel,nx,ny,")
         assert len(lines) == 3  # header + serial + static x2
+
+    def test_bench_unwritable_out_exits_2_before_measuring(self, tmp_path, monkeypatch,
+                                                          capsys):
+        def no_bench(*args, **kwargs):
+            raise AssertionError("the matrix ran before --out was opened")
+
+        monkeypatch.setattr(cli, "run_bench", no_bench)
+        out = tmp_path / "missing" / "records.csv"
+        code = main(["bench", "--kernel", "advection", "--sizes", "8x8",
+                     "--steps", "1", "--warmup", "0", "--reps", "1",
+                     "--threads", "1", "--backend", "serial",
+                     "--strategy", "rowwise", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "--out" in captured.err
+        assert not out.parent.exists()
 
     def test_bench_stdout_by_default(self, capsys):
         code = main(["bench", "--kernel", "advection", "--sizes", "8x8",

@@ -12,10 +12,12 @@ import pytest
 
 import wavesweep
 import wavesweep.driver as driver
+import wavesweep.kernels as kernels
 from wavesweep.driver import (DEFAULT_IC, SOD_LEFT, SOD_RIGHT, SimulationConfig,
                               StepLimitError, TimestepController, choose_dt,
                               gaussian_profile, initial_condition, run, step)
 from wavesweep.grid import BoundaryCondition, GridSpec
+from wavesweep.kernels import KernelDescriptor, rp_advection
 from wavesweep.oracles import error_norms, exact_advection
 from wavesweep.parallel import Serial, StaticThreads, WorkStealing
 from wavesweep.sweep import CellWise, RowWise, SweepError, Tiled
@@ -66,6 +68,54 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown kernel"):
             SimulationConfig(spec=gas_spec(8, 8), kernel="maxwell",
                              ic="euler-sod-x", num_steps=1)
+
+    def test_initial_condition_must_exist_and_fit_the_kernel(self):
+        with pytest.raises(ValueError, match="unknown initial condition 'vortex'"):
+            SimulationConfig(spec=gas_spec(8, 8), kernel="euler", ic="vortex", num_steps=1)
+        with pytest.raises(ValueError, match="advection-gaussian is for kernel advection"):
+            SimulationConfig(spec=gas_spec(8, 8), kernel="euler",
+                             ic="advection-gaussian", num_steps=1)
+
+    @pytest.mark.parametrize("t_final", [math.inf, math.nan, -1.0])
+    def test_t_final_must_be_finite_and_nonnegative(self, t_final):
+        # with t_final = inf the step loop's tolerance is inf and no step runs
+        with pytest.raises(ValueError, match="t_final"):
+            SimulationConfig(spec=gas_spec(8, 8), kernel="euler", ic="euler-sod-x",
+                             t_final=t_final)
+
+
+def test_a_kernel_declared_in_the_tables_runs_under_every_backend(monkeypatch):
+    # a new kernel is one descriptor, one initial-condition entry and one
+    # DEFAULT_IC entry; nothing in the sweep, scheduler or driver names it.
+    # The toy is advection at (speed, speed) with a cell pass that always
+    # declines, so its runs equal the built-in advection run bit for bit.
+    blocks = []
+
+    def bind(speed):
+        def solve(direction, ql, qr, auxl=None, auxr=None):
+            return rp_advection(direction, ql, qr, speed, speed)
+        return solve
+
+    def cell_pass(q, speed):
+        blocks.append(q.shape)
+        return None
+
+    monkeypatch.setitem(kernels.DESCRIPTORS, "toy",
+                        KernelDescriptor("toy", 1, 1, 0, bind, cell_pass))
+    monkeypatch.setitem(driver.INITIAL_CONDITIONS, "toy-bump", driver.InitialCondition(
+        "toy", {"speed": 1.0}, driver.INITIAL_CONDITIONS["advection-gaussian"].fill))
+    monkeypatch.setitem(DEFAULT_IC, "toy", "toy-bump")
+    spec = driver.unit_square_spec("toy", 24, 16)
+    finals = []
+    for kernel, backend in (("toy", Serial()), ("toy", WorkStealing(2)),
+                            ("advection", Serial())):
+        state, reports = run(SimulationConfig(spec=spec, kernel=kernel, ic=DEFAULT_IC[kernel],
+                                              backend=backend, num_steps=3))
+        assert len(reports) == 3
+        finals.append(state.data)
+    assert blocks  # the sweep found the cell pass on the descriptor
+    assert np.array_equal(finals[0], finals[1])
+    assert np.array_equal(finals[0], finals[2])
 
 
 class TestInitialConditions:

@@ -4,11 +4,13 @@ against them, so they must stand on their own."""
 import numpy as np
 import pytest
 
+import wavesweep.kernels as K
 from wavesweep.grid import GridSpec, StateField
 from wavesweep.kernels import Direction
 from wavesweep.oracles import (ErrorNorms, error_norms, euler_star,
                                exact_advection, exact_riemann_euler_1d,
-                               linear_matrix_apply, verify_suite)
+                               fluctuation_identity_errors, linear_matrix_apply,
+                               verify_suite)
 
 SOD_L = np.array([1.0, 0.0, 0.0, 2.5])     # rho 1, at rest, p 1
 SOD_R = np.array([0.125, 0.0, 0.0, 0.25])  # rho 1/8, at rest, p 0.1
@@ -205,3 +207,10 @@ class TestVerifySuite:
     def test_filter_restricts_checks(self):
         report = verify_suite(0, only={"linear-exactness"})
         assert [r.name for r in report.results] == ["linear-exactness"]
+
+    def test_fluctuation_identity_fails_for_a_kernel_it_never_ran(self, monkeypatch):
+        assert set(fluctuation_identity_errors(0, samples=200)) == set(K.KERNEL_NAMES)
+        monkeypatch.setattr(K, "KERNEL_NAMES", K.KERNEL_NAMES + ("toy",))
+        report = verify_suite(0, only={"fluctuation-identity"})
+        assert not report.passed
+        assert "toy" in report.results[0].detail

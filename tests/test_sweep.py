@@ -333,8 +333,8 @@ def test_serial_call_size_moves_only_call_boundaries(monkeypatch):
 
 
 def test_plain_kernel_takes_both_directions_per_row_block(monkeypatch):
-    # an advection call holds up to _MAX_BLOCK interfaces, 15 x-rows of 2049,
-    # the widest rows, which set every block: 2048x30 has 30 x-rows and 31
+    # a one-thread advection call holds up to _SERIAL_CALL's cap of 2^15
+    # interfaces, 15 x-rows of 2049, the widest rows, which set every block: 2048x30 has 30 x-rows and 31
     # y-rows, so blocks [0, 15) and [15, 30) take x then y, and [30, 31) y alone
     spec = GridSpec(nx=2048, ny=30, dx=1.0, dy=1.0, num_eqn=1)
     state, aux, _ = allocate_fields(spec)
