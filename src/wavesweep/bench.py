@@ -21,8 +21,6 @@ import numpy as np
 
 from .driver import (DEFAULT_IC, SimulationConfig, TimestepController,
                      initial_condition, step, unit_square_spec)
-from .grid import GridSpec
-from .kernels import DESCRIPTORS
 from .parallel import Backend, Serial, StaticThreads, WorkStealing
 from .sweep import CellWise, RowWise, Strategy, Tiled
 
@@ -65,31 +63,21 @@ class BenchConfig:
                              ("backends", self.backends), ("threads", self.threads)):
             if not values:
                 raise ValueError(f"{name} must be nonempty")
-        for k in self.kernels:
-            if k not in DESCRIPTORS:
-                raise ValueError(f"unknown kernel {k!r}; choose from {', '.join(DESCRIPTORS)}")
-        for b in self.backends:
-            if b not in BACKEND_NAMES:
-                raise ValueError(f"unknown backend {b!r}; choose from {', '.join(BACKEND_NAMES)}")
-        for t in self.threads:
-            if t < 1:
-                raise ValueError(f"thread counts must be >= 1, got {t}")
-        # every bench grid is periodic, and the periodic ghost fill wraps
-        # num_ghost interior cells, so no side may be shorter
-        for nx, ny in self.sizes:
-            if nx < GridSpec.num_ghost or ny < GridSpec.num_ghost:
-                raise ValueError(f"grid sides must be >= {GridSpec.num_ghost} "
-                                 f"(the ghost frame), got {nx}x{ny}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.warmup < 0:
             raise ValueError(f"warmup must be >= 0, got {self.warmup}")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.grain is not None and self.grain < 1:
-            raise ValueError(f"grain must be >= 1, got {self.grain}")
-        if not 0.0 < self.cfl < 1.0:
-            raise ValueError(f"cfl must lie in (0, 1), got {self.cfl}")
+        # the rest is checked by the types the matrix runs, built once here
+        TimestepController(self.cfl)
+        for name in self.backends:
+            make_backend(name, 1)
+        for t in self.threads:  # every count and the grain, whichever backends run them
+            WorkStealing(t, self.grain)
+        for kernel in self.kernels:
+            for nx, ny in self.sizes:
+                _simulation(kernel, nx, ny, self.strategies[0], Serial(), self.steps)
 
 
 @dataclass
@@ -110,10 +98,15 @@ class BenchRecord:
 
 
 def make_strategy(name: str, tile: tuple[int, int]) -> Strategy:
-    """The strategy called `name`; `tile` is (width, height) for "tiled"."""
+    """The strategy called `name`; `tile` is (width, height) for "tiled".
+
+    The tile is checked whatever the name, since the command line parses
+    --tile whatever the strategy.
+    """
+    tiled = Tiled(*tile)
     if name not in _STRATEGIES:
         raise ValueError(f"unknown strategy {name!r}; choose from {', '.join(STRATEGY_NAMES)}")
-    return Tiled(*tile) if name == "tiled" else _STRATEGIES[name]()
+    return tiled if name == "tiled" else _STRATEGIES[name]()
 
 
 def strategy_name(strategy: Strategy) -> str:
@@ -130,19 +123,24 @@ def make_backend(name: str, threads: int, grain: int | None = None) -> Backend:
         return StaticThreads(threads)
     if name == "workstealing":
         return WorkStealing(threads, grain)
-    raise ValueError(f"unknown backend {name!r}")
+    raise ValueError(f"unknown backend {name!r}; choose from {', '.join(BACKEND_NAMES)}")
+
+
+def _simulation(kernel: str, nx: int, ny: int, strategy: Strategy, backend: Backend,
+                steps: int) -> SimulationConfig:
+    """One matrix cell's run: the kernel's default IC on a periodic unit square."""
+    spec = unit_square_spec(kernel, nx, ny)  # names an unknown kernel, so before DEFAULT_IC
+    return SimulationConfig(spec=spec, kernel=kernel, ic=DEFAULT_IC[kernel],
+                            strategy=strategy, backend=backend, num_steps=steps)
 
 
 def _measure_cell(kernel: str, nx: int, ny: int, strategy: Strategy,
                   backend: Backend, steps: int, warmup: int, reps: int,
                   cfl: float) -> tuple[list[float], np.ndarray]:
     """Run one matrix cell; per-repetition ms/step plus the final state bytes."""
-    spec = unit_square_spec(kernel, nx, ny)
-    ic = DEFAULT_IC[kernel]
-    config = SimulationConfig(spec=spec, kernel=kernel, ic=ic,
-                              strategy=strategy, backend=backend, num_steps=steps)
+    config = _simulation(kernel, nx, ny, strategy, backend, steps)
     ctl = TimestepController(cfl_target=cfl)
-    state, aux, _ = initial_condition(ic, spec)
+    state, aux, _ = initial_condition(config.ic, config.spec)
 
     for _ in range(warmup):
         step(state, aux, config, ctl)

@@ -14,7 +14,6 @@ from .bench import (BACKEND_NAMES, STRATEGY_NAMES, BenchConfig, BenchGuardError,
                     emit_csv, make_backend, make_strategy, open_csv, run_bench)
 from .driver import (DEFAULT_IC, SimulationConfig, StepLimitError, StepReport,
                      TimestepController, integrate, unit_square_spec)
-from .grid import GridSpec
 from .kernels import KERNEL_NAMES
 from .oracles import verify_suite
 from .parallel import THREAD_COUNT_ENV, default_thread_count
@@ -108,14 +107,6 @@ def _parse_wxh(parser, flag: str, text: str) -> tuple[int, int]:
         parser.error(f"{flag} expects WxH, got {text!r}")
 
 
-def _parse_tile(parser, text: str) -> tuple[int, int]:
-    # checked here as well as by Tiled: --tile is parsed whatever the strategy
-    w, h = _parse_wxh(parser, "--tile", text)
-    if w < 1 or h < 1:
-        parser.error(f"tile sides must be >= 1, got {text!r}")
-    return w, h
-
-
 def _default_threads(parser) -> int:
     try:
         return default_thread_count()
@@ -138,15 +129,9 @@ def parse_args(argv) -> BenchConfig | RunConfig | VerifyConfig:
             parser.error(f"--seed must be >= 0, got {args.seed}")
         return VerifyConfig(seed=args.seed)
 
-    tile = _parse_tile(parser, args.tile)
+    tile = _parse_wxh(parser, "--tile", args.tile)
     if args.command == "run":
-        if args.steps is not None and args.t_final is not None:
-            parser.error("--steps and --t-final are mutually exclusive")
         steps = 10 if (args.steps is None and args.t_final is None) else args.steps
-        # the periodic ghost fill wraps num_ghost interior cells, so no side may be shorter
-        if min(args.nx, args.ny) < GridSpec.num_ghost:
-            parser.error(f"--nx/--ny must be >= {GridSpec.num_ghost} (the ghost frame), "
-                         f"got {args.nx}, {args.ny}")
         threads = args.threads if args.threads is not None else _default_threads(parser)
         if threads < 1:  # Serial ignores the count, so no config type checks it
             parser.error(f"--threads must be >= 1, got {threads}")

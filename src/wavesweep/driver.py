@@ -12,8 +12,8 @@ from typing import Callable
 import numpy as np
 
 from .grid import (AuxField, BoundaryCondition, FluctuationField, GridSpec, StateField,
-                   fill_ghost)
-from .kernels import DESCRIPTORS, Kernel, make_kernel
+                   check_ghost_frame, fill_ghost)
+from .kernels import Kernel, lookup_kernel, make_kernel
 from .parallel import Backend, Serial
 from .sweep import CellWise, Strategy, SweepError, apply_update, sweep
 
@@ -24,19 +24,13 @@ MAX_STEPS = 10**6
 
 @dataclass(frozen=True)
 class TimestepController:
-    """CFL-target step selection with optional cap and fixed override."""
+    """CFL-target step selection."""
 
     cfl_target: float = 0.9
-    dt_max: float | None = None
-    fixed_dt: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.cfl_target < 1.0:
             raise ValueError(f"cfl_target must lie in (0, 1), got {self.cfl_target}")
-        if self.dt_max is not None and not self.dt_max > 0:
-            raise ValueError(f"dt_max must be positive, got {self.dt_max}")
-        if self.fixed_dt is not None and not self.fixed_dt > 0:
-            raise ValueError(f"fixed_dt must be positive, got {self.fixed_dt}")
 
 
 def choose_dt(max_sx: float, max_sy: float, dx: float, dy: float,
@@ -44,22 +38,16 @@ def choose_dt(max_sx: float, max_sy: float, dx: float, dy: float,
     """Largest stable step: dt = cfl_target / (max_sx/dx + max_sy/dy).
 
     The summed-directions form is what the unsplit donor-cell update's
-    stability region requires.  Clamped by dt_max and by the remaining time;
-    fixed_dt bypasses the formula (but not the clamps).  A stationary field
-    (both speeds zero) without fixed_dt is an error rather than dt=inf, so
-    configuration mistakes cannot hide behind an infinite step.
+    stability region requires.  Clamped by the remaining time.  A stationary
+    field (both speeds zero) is an error rather than dt=inf, so configuration
+    mistakes cannot hide behind an infinite step.
     """
-    if ctl.fixed_dt is not None:
-        dt = ctl.fixed_dt
-    else:
-        if max_sx < 0 or max_sy < 0:
-            raise ValueError(f"wave speeds must be >= 0, got {max_sx}, {max_sy}")
-        rate = max_sx / dx + max_sy / dy
-        if rate == 0.0:
-            raise ValueError("all wave speeds are zero; a stationary field needs fixed_dt")
-        dt = ctl.cfl_target / rate
-    if ctl.dt_max is not None:
-        dt = min(dt, ctl.dt_max)
+    if max_sx < 0 or max_sy < 0:
+        raise ValueError(f"wave speeds must be >= 0, got {max_sx}, {max_sy}")
+    rate = max_sx / dx + max_sy / dy
+    if rate == 0.0:
+        raise ValueError("all wave speeds are zero; a stationary field has no CFL step")
+    dt = ctl.cfl_target / rate
     if remaining is not None:
         dt = min(dt, remaining)
     return dt
@@ -68,7 +56,8 @@ def choose_dt(max_sx: float, max_sy: float, dx: float, dy: float,
 @dataclass(frozen=True)
 class SimulationConfig:
     """One complete simulation setup.  Exactly one of t_final/num_steps; the
-    ic names an INITIAL_CONDITIONS entry declared for this kernel."""
+    ic names an INITIAL_CONDITIONS entry declared for this kernel; a periodic
+    axis is at least the ghost frame deep."""
 
     spec: GridSpec
     kernel: str
@@ -81,8 +70,7 @@ class SimulationConfig:
     num_steps: int | None = None
 
     def __post_init__(self):
-        if self.kernel not in DESCRIPTORS:
-            raise ValueError(f"unknown kernel {self.kernel!r}")
+        lookup_kernel(self.kernel)
         ic_kernel = _lookup_ic(self.ic).kernel
         if ic_kernel != self.kernel:
             raise ValueError(f"initial condition {self.ic} is for kernel {ic_kernel}, "
@@ -94,6 +82,7 @@ class SimulationConfig:
             raise ValueError(f"t_final must be finite and >= 0, got {self.t_final}")
         if self.num_steps is not None and self.num_steps < 0:
             raise ValueError(f"num_steps must be >= 0, got {self.num_steps}")
+        check_ghost_frame(self.spec, self.bc_x, self.bc_y)
 
 
 @dataclass
@@ -121,8 +110,9 @@ SOD_RIGHT = (0.125, 0.0, 0.0, 0.25)   # density 1/8, at rest, pressure 0.1
 
 def unit_square_spec(kernel: str, nx: int, ny: int) -> GridSpec:
     """An nx x ny grid on the unit square sized for `kernel`'s state and aux."""
-    desc = DESCRIPTORS[kernel]
-    return GridSpec(nx=nx, ny=ny, dx=1.0 / nx, dy=1.0 / ny,
+    desc = lookup_kernel(kernel)
+    # a count below 1 reaches GridSpec, which names it, not a ZeroDivisionError
+    return GridSpec(nx=nx, ny=ny, dx=1.0 / max(nx, 1), dy=1.0 / max(ny, 1),
                     num_eqn=desc.num_eqn, num_aux=desc.num_aux)
 
 
@@ -198,7 +188,7 @@ def initial_condition(name: str, spec: GridSpec) -> tuple[StateField, AuxField, 
     at step time.
     """
     ic = _lookup_ic(name)
-    desc = DESCRIPTORS[ic.kernel]
+    desc = lookup_kernel(ic.kernel)
     if spec.num_eqn != desc.num_eqn or spec.num_aux != desc.num_aux:
         raise ValueError(
             f"{name} needs num_eqn={desc.num_eqn}, num_aux={desc.num_aux}; "
@@ -308,7 +298,7 @@ def integrate(config: SimulationConfig, on_step: Callable[[StepReport], None],
                 steps += 1
                 t += rep.dt
         else:
-            tol = 1e-14 * max(1.0, config.t_final)
+            tol = 1e-14 * config.t_final
             while config.t_final - t > tol:
                 if steps >= MAX_STEPS:
                     raise StepLimitError(steps, t, config.t_final)

@@ -105,17 +105,6 @@ class _Field:
         g = self.spec.num_ghost
         return self.data[:, g : g + self.spec.nx, g : g + self.spec.ny]
 
-    def value(self, comp: int, i: int, j: int) -> float:
-        """Checked accessor: i, j in [-num_ghost, n + num_ghost)."""
-        g = self.spec.num_ghost
-        if not 0 <= comp < self.num_comp:
-            raise IndexError(f"component {comp} outside [0, {self.num_comp})")
-        if not -g <= i < self.spec.nx + g:
-            raise IndexError(f"i={i} outside [{-g}, {self.spec.nx + g})")
-        if not -g <= j < self.spec.ny + g:
-            raise IndexError(f"j={j} outside [{-g}, {self.spec.ny + g})")
-        return float(self.data[comp, g + i, g + j])
-
     def copy(self):
         out = object.__new__(type(self))
         out.spec = self.spec
@@ -166,6 +155,15 @@ def allocate_fields(spec: GridSpec) -> tuple[StateField, AuxField, FluctuationFi
     return StateField(spec), AuxField(spec), FluctuationField(spec)
 
 
+def check_ghost_frame(spec: GridSpec, bc_x: BoundaryCondition, bc_y: BoundaryCondition):
+    """Raise ValueError if a periodic axis has fewer interior cells than the
+    ghost frame is deep: its ghost fill wraps num_ghost interior cells."""
+    for name, n, bc in (("nx", spec.nx, bc_x), ("ny", spec.ny, bc_y)):
+        if bc is BoundaryCondition.PERIODIC and n < spec.num_ghost:
+            raise ValueError(f"a periodic axis needs at least num_ghost={spec.num_ghost} "
+                             f"interior cells (the ghost frame), got {name}={n}")
+
+
 def _fill_axis(data: np.ndarray, n: int, g: int, bc: BoundaryCondition, axis: int):
     # data has ghost offset g along `axis`; low ghosts [0, g), high [g+n, g+n+g)
     sl = [slice(None)] * data.ndim
@@ -176,10 +174,6 @@ def _fill_axis(data: np.ndarray, n: int, g: int, bc: BoundaryCondition, axis: in
         return tuple(s)
 
     if bc is BoundaryCondition.PERIODIC:
-        if n < g:
-            raise ValueError(
-                f"periodic boundary needs at least num_ghost={g} interior cells, got {n}"
-            )
         data[span(0, g)] = data[span(n, n + g)]
         data[span(g + n, g + n + g)] = data[span(g, g + g)]
     elif bc is BoundaryCondition.EXTRAPOLATE:
@@ -196,11 +190,13 @@ def fill_ghost(field, bc_x: BoundaryCondition, bc_y: BoundaryCondition):
     copies the nearest interior cell.  The x pass runs first over the full
     y extent, then the y pass over the full x extent, so corners end up
     consistent for dimension-split stencils.  Interior cells are never
-    modified.  Returns the field.
+    modified.  A periodic axis shorter than the ghost frame raises ValueError
+    (check_ghost_frame).  Returns the field.
     """
     spec = field.spec
     if field.num_comp == 0:
         return field
+    check_ghost_frame(spec, bc_x, bc_y)
     _fill_axis(field.data, spec.nx, spec.num_ghost, bc_x, axis=1)
     _fill_axis(field.data, spec.ny, spec.num_ghost, bc_y, axis=2)
     return field

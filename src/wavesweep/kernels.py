@@ -641,6 +641,15 @@ DESCRIPTORS: dict[str, KernelDescriptor] = {
 KERNEL_NAMES = tuple(DESCRIPTORS)
 
 
+def lookup_kernel(name: str) -> KernelDescriptor:
+    """The descriptor of the kernel called `name`; ValueError listing the
+    declared names if there is none."""
+    desc = DESCRIPTORS.get(name)
+    if desc is None:
+        raise ValueError(f"unknown kernel {name!r}; available: {', '.join(DESCRIPTORS)}")
+    return desc
+
+
 def make_kernel(name: str, **params) -> Kernel:
     """Bind a kernel declared in DESCRIPTORS to concrete (float) parameters.
 
@@ -649,9 +658,7 @@ def make_kernel(name: str, **params) -> Kernel:
     euler(gamma=1.4).  An unknown kernel and unexpected or missing parameters
     raise ValueError.
     """
-    desc = DESCRIPTORS.get(name)
-    if desc is None:
-        raise ValueError(f"unknown kernel {name!r}; available: {', '.join(DESCRIPTORS)}")
+    desc = lookup_kernel(name)
     try:
         bound = desc.signature.bind(**params)
     except TypeError as exc:

@@ -129,6 +129,25 @@ def _get_pool(n: int) -> ThreadPoolExecutor:
         return pool
 
 
+def plan(backend: Backend, n_units: int, align: int = 1) -> tuple[int, int, int]:
+    """(threads, grain, workers) for a region of n_units under `backend`.
+
+    `threads` and `grain` (at least 1) are the backend's; `workers` is how many
+    threads run the region, one per leaf at most.  With one worker the caller
+    runs every leaf itself.  An unknown backend raises TypeError, a negative
+    unit count or an alignment below 1 ValueError.
+    """
+    if n_units < 0:
+        raise ValueError(f"unit count must be >= 0, got {n_units}")
+    if not isinstance(backend, Backend):
+        raise TypeError(f"unknown backend {backend!r}")
+    if align < 1:
+        raise ValueError(f"alignment must be >= 1, got {align}")
+    threads, grain = backend.threads_and_grain(n_units, align)
+    grain = max(1, grain)
+    return threads, grain, min(threads, -(-n_units // grain))
+
+
 def for_each_unit(units: int, backend: Backend, body, *, align: int = 1) -> list:
     """Invoke ``body(start, stop)`` over ranges covering every unit exactly once.
 
@@ -149,14 +168,7 @@ def for_each_unit(units: int, backend: Backend, body, *, align: int = 1) -> list
     so the choice does not depend on timing.
     """
     n_units = int(units)
-    if n_units < 0:
-        raise ValueError(f"unit count must be >= 0, got {n_units}")
-    if not isinstance(backend, Backend):
-        raise TypeError(f"unknown backend {backend!r}")
-    if align < 1:
-        raise ValueError(f"alignment must be >= 1, got {align}")
-    threads, grain = backend.threads_and_grain(n_units, align)
-    grain = max(1, grain)
+    threads, grain, workers = plan(backend, n_units, align)
     n_leaves = -(-n_units // grain)
     results = [None] * n_leaves
 
@@ -168,7 +180,6 @@ def for_each_unit(units: int, backend: Backend, body, *, align: int = 1) -> list
         except BaseException as exc:
             raise ParallelError(a, b, exc) from exc
 
-    workers = min(threads, n_leaves)
     if workers <= 1:
         for k in range(n_leaves):
             run_leaf(k)

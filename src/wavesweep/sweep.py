@@ -19,7 +19,8 @@ and a splinter of the next in two or three.
 
 One rule sizes every kernel call: the most interfaces whose result fits a
 byte budget, up to a cap (_call_block).  The budget and cap depend on how
-many threads the region gets.  On one thread there is no lock to share, so
+many threads run the region (parallel.plan): a one-leaf region runs on the
+caller whatever the backend.  On one thread there is no lock to share, so
 calls fit the cache: 1.5 MiB of result, at most 32k interfaces.  On more,
 5.75 MiB and 64k, which keeps interpreter-lock hand-offs between the threads
 rare.  Kernels are pointwise, so only call boundaries move and the
@@ -56,7 +57,7 @@ import numpy as np
 
 from .grid import AuxField, FluctuationField, StateField
 from .kernels import CellPlanes, Direction, Kernel, KernelDescriptor, KernelError
-from .parallel import Backend, ParallelError, Serial, for_each_unit
+from .parallel import Backend, ParallelError, Serial, for_each_unit, plan
 
 # A kernel call holds the most interfaces whose result (waves, speeds, amdq
 # and apdq, float64) fits a byte budget, up to a cap: (budget, cap) below, for
@@ -175,7 +176,7 @@ class SweepError(RuntimeError):
 
     The interface is the first failing one in row-major order (rows j = 0 ..
     ny), x before y within a row, under every strategy and backend.
-    `driver.run` also locates it in time: `step` is the 0-based index of the
+    `driver.integrate` also locates it in time: `step` is the 0-based index of the
     failing step and `time` the sim time at its start (both None from a bare
     sweep).
     """
@@ -356,8 +357,8 @@ def sweep(state: StateField, aux: AuxField | None, kernel: Kernel,
     counter = _WriteCounter(nx, ny) if _checked() else None
     tiles_i = -(-(nx + 1) // tile_w)
     tiles_j = -(-(ny + 1) // tile_h)
-    threads = backend.threads_and_grain(tiles_i * tiles_j, tiles_i)[0]
-    block = _call_block(kernel.descriptor, threads)
+    workers = plan(backend, tiles_i * tiles_j, tiles_i)[2]
+    block = _call_block(kernel.descriptor, workers)
     ctx = _SweepContext(state, aux, kernel, fluct, counter, block)
 
     def tile_run(t0, t1):

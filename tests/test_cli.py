@@ -51,6 +51,9 @@ class TestParseBench:
         [],
         ["bench", "--warmup", "-1"],
         ["bench", "--grain", "0"],
+        ["bench", "--strategy", "cellwise", "--tile", "0x4"],
+        ["bench", "--backend", "serial", "--threads", "0"],
+        ["bench", "--backend", "static", "--grain", "0"],
     ])
     def test_usage_errors_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -89,6 +92,9 @@ class TestParseRun:
         ["run", "--cfl", "1.0"],
         ["run", "--t-final", "inf"],
         ["run", "--ic", "vortex"],
+        ["run", "--nx", "0"],
+        ["run", "--nx", "-3"],
+        ["run", "--strategy", "cellwise", "--tile", "0x4"],
     ])
     def test_usage_errors_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:

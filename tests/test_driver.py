@@ -36,17 +36,12 @@ class TestChooseDt:
         ctl = TimestepController(cfl_target=0.5)
         assert choose_dt(2.0, 0.0, 0.1, 0.1, ctl) == pytest.approx(0.025, rel=1e-12)
 
-    def test_fixed_dt_bypasses_formula(self):
-        ctl = TimestepController(fixed_dt=1e-3)
-        assert choose_dt(0.0, 0.0, 0.1, 0.1, ctl) == 1e-3
-
     def test_stationary_without_fixed_dt_is_an_error(self):
         with pytest.raises(ValueError, match="stationary"):
             choose_dt(0.0, 0.0, 0.1, 0.1, TimestepController())
 
-    def test_dt_max_and_remaining_clamp(self):
-        ctl = TimestepController(cfl_target=0.9, dt_max=1e-3)
-        assert choose_dt(1.0, 0.0, 1.0, 1.0, ctl) == 1e-3
+    def test_remaining_clamp(self):
+        ctl = TimestepController(cfl_target=0.9)
         assert choose_dt(1.0, 0.0, 1.0, 1.0, ctl, remaining=1e-4) == 1e-4
 
     @pytest.mark.parametrize("cfl", [0.0, 1.0, -0.1, 1.5])
@@ -68,6 +63,8 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown kernel"):
             SimulationConfig(spec=gas_spec(8, 8), kernel="maxwell",
                              ic="euler-sod-x", num_steps=1)
+        with pytest.raises(ValueError, match="unknown kernel 'maxwell'; available: advection"):
+            driver.unit_square_spec("maxwell", 8, 8)
 
     def test_initial_condition_must_exist_and_fit_the_kernel(self):
         with pytest.raises(ValueError, match="unknown initial condition 'vortex'"):
@@ -75,6 +72,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="advection-gaussian is for kernel advection"):
             SimulationConfig(spec=gas_spec(8, 8), kernel="euler",
                              ic="advection-gaussian", num_steps=1)
+
+    def test_periodic_axis_must_cover_the_ghost_frame(self):
+        for nx, ny in ((1, 8), (8, 1)):
+            with pytest.raises(ValueError, match="ghost frame"):
+                SimulationConfig(spec=gas_spec(nx, ny), kernel="euler", ic="euler-sod-x",
+                                 num_steps=1)
+        # an extrapolated axis wraps nothing, so one cell is enough
+        SimulationConfig(spec=gas_spec(1, 8), kernel="euler", ic="euler-sod-x",
+                         bc_x=BoundaryCondition.EXTRAPOLATE, num_steps=1)
 
     @pytest.mark.parametrize("t_final", [math.inf, math.nan, -1.0])
     def test_t_final_must_be_finite_and_nonnegative(self, t_final):
@@ -330,6 +336,16 @@ class TestRun:
         _, reports = run(config)
         assert len(reports) == 1
         assert reports[0].dt == pytest.approx(1e-6, abs=1e-18)
+
+    @pytest.mark.parametrize("t_final,steps", [(1e-300, 1), (0.0, 0)])
+    def test_t_final_far_below_one_is_not_rounded_away(self, t_final, steps):
+        # the end-time tolerance is relative to t_final, so 1e-300 still takes its step
+        spec = GridSpec(nx=8, ny=8, dx=1 / 8, dy=1 / 8, num_eqn=1)
+        config = SimulationConfig(spec=spec, kernel="advection",
+                                  ic="advection-gaussian", t_final=t_final)
+        _, reports = run(config)
+        assert len(reports) == steps
+        assert sum(r.dt for r in reports) == t_final
 
     def test_t_final_run_stops_at_step_limit(self, monkeypatch):
         monkeypatch.setattr(driver, "MAX_STEPS", 5)

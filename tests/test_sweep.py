@@ -332,6 +332,26 @@ def test_serial_call_size_moves_only_call_boundaries(monkeypatch):
             assert _sweep_error(bad, aux, CellWise(), backend) == (Direction.X, *cell)
 
 
+def test_one_leaf_region_makes_serial_calls(monkeypatch):
+    # 128^2 Euler in one 256x256 tile is one leaf, which every backend runs
+    # on the caller, so it takes the one-thread calls: 8548 // 129 = 66 rows,
+    # x-rows [0, 66), [66, 128) and y-rows [0, 66), [66, 129)
+    spec, state = filled_gas_field(128, 128, seed=13)
+    aux = AuxField(spec)
+    call = sweep_mod._SweepContext._call
+    for backend in (Serial(), StaticThreads(2), WorkStealing(2, grain=1)):
+        calls = []
+
+        def recording_call(ctx, d, ia, ib, a, b, cells=None):
+            calls.append((d.value, a, b))
+            return call(ctx, d, ia, ib, a, b, cells)
+
+        with monkeypatch.context() as m:
+            m.setattr(sweep_mod._SweepContext, "_call", recording_call)
+            sweep(state, aux, make_kernel("euler"), Tiled(256, 256), backend)
+        assert calls == [("x", 0, 66), ("y", 0, 66), ("x", 66, 128), ("y", 66, 129)]
+
+
 def test_plain_kernel_takes_both_directions_per_row_block(monkeypatch):
     # a one-thread advection call holds up to _SERIAL_CALL's cap of 2^15
     # interfaces, 15 x-rows of 2049, the widest rows, which set every block: 2048x30 has 30 x-rows and 31
