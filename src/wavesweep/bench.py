@@ -15,7 +15,8 @@ import contextlib
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -23,9 +24,6 @@ from .driver import (DEFAULT_IC, SimulationConfig, TimestepController,
                      initial_condition, step, unit_square_spec)
 from .parallel import Backend, Serial, StaticThreads, WorkStealing
 from .sweep import CellWise, RowWise, Strategy, Tiled
-
-CSV_HEADER = ("kernel,nx,ny,strategy,backend,threads,steps,"
-              "ms_per_step,mcells_per_s,speedup,efficiency")
 
 BACKEND_NAMES = ("serial", "static", "workstealing")
 
@@ -95,6 +93,12 @@ class BenchRecord:
     mcells_per_s: float
     speedup: float
     efficiency: float
+
+
+# the CSV columns are BenchRecord's fields, in order, each read back as its type
+_COLUMN_TYPES = get_type_hints(BenchRecord)
+_COLUMNS = tuple((f.name, _COLUMN_TYPES[f.name]) for f in fields(BenchRecord))
+CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 
 def make_strategy(name: str, tile: tuple[int, int]) -> Strategy:
@@ -235,11 +239,9 @@ def emit_csv(records: list[BenchRecord], out=None) -> None:
     with open_csv(out, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in records:
-            fh.write(",".join([
-                r.kernel, str(r.nx), str(r.ny), r.strategy, r.backend,
-                str(r.threads), str(r.steps), _fmt(r.ms_per_step),
-                _fmt(r.mcells_per_s), _fmt(r.speedup), _fmt(r.efficiency),
-            ]) + "\n")
+            cells = (_fmt(getattr(r, name)) if kind is float else str(getattr(r, name))
+                     for name, kind in _COLUMNS)
+            fh.write(",".join(cells) + "\n")
 
 
 def parse_csv(source) -> list[BenchRecord]:
@@ -251,11 +253,7 @@ def parse_csv(source) -> list[BenchRecord]:
     records = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != 11:
+        if len(parts) != len(_COLUMNS):
             raise ValueError(f"malformed row: {ln!r}")
-        records.append(BenchRecord(
-            kernel=parts[0], nx=int(parts[1]), ny=int(parts[2]), strategy=parts[3],
-            backend=parts[4], threads=int(parts[5]), steps=int(parts[6]),
-            ms_per_step=float(parts[7]), mcells_per_s=float(parts[8]),
-            speedup=float(parts[9]), efficiency=float(parts[10])))
+        records.append(BenchRecord(*(kind(part) for (_, kind), part in zip(_COLUMNS, parts))))
     return records

@@ -56,8 +56,9 @@ def choose_dt(max_sx: float, max_sy: float, dx: float, dy: float,
 @dataclass(frozen=True)
 class SimulationConfig:
     """One complete simulation setup.  Exactly one of t_final/num_steps; the
-    ic names an INITIAL_CONDITIONS entry declared for this kernel; a periodic
-    axis is at least the ghost frame deep."""
+    ic names an INITIAL_CONDITIONS entry declared for this kernel; the grid
+    carries the kernel's components; a periodic axis is at least the ghost
+    frame deep."""
 
     spec: GridSpec
     kernel: str
@@ -70,11 +71,12 @@ class SimulationConfig:
     num_steps: int | None = None
 
     def __post_init__(self):
-        lookup_kernel(self.kernel)
+        desc = lookup_kernel(self.kernel)
         ic_kernel = _lookup_ic(self.ic).kernel
         if ic_kernel != self.kernel:
             raise ValueError(f"initial condition {self.ic} is for kernel {ic_kernel}, "
                              f"not {self.kernel}")
+        desc.check_components(self.spec.num_eqn, self.spec.num_aux)
         if (self.t_final is None) == (self.num_steps is None):
             raise ValueError("exactly one of t_final and num_steps must be set")
         if self.t_final is not None and not (math.isfinite(self.t_final)
@@ -188,12 +190,7 @@ def initial_condition(name: str, spec: GridSpec) -> tuple[StateField, AuxField, 
     at step time.
     """
     ic = _lookup_ic(name)
-    desc = lookup_kernel(ic.kernel)
-    if spec.num_eqn != desc.num_eqn or spec.num_aux != desc.num_aux:
-        raise ValueError(
-            f"{name} needs num_eqn={desc.num_eqn}, num_aux={desc.num_aux}; "
-            f"grid has num_eqn={spec.num_eqn}, num_aux={spec.num_aux}"
-        )
+    lookup_kernel(ic.kernel).check_components(spec.num_eqn, spec.num_aux)
     state = StateField(spec)
     aux = AuxField(spec)
     xx, yy = np.meshgrid(spec.x_centers(), spec.y_centers(), indexing="ij")

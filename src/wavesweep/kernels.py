@@ -3,14 +3,15 @@
 Each solver is a pure function from the states of two adjacent cells (plus
 material data or equation parameters) to waves, speeds, and the left/right
 fluctuations they induce.  Nothing here knows about grids, sweeps, or
-threads: callers may invoke a solver on a single interface (inputs of shape
-``(num_eqn,)``) or on any batch of interfaces at once (``(num_eqn, ...)``
-with trailing batch axes), and every output element depends only on the
+threads: a solver takes a batch of interfaces, states of shape
+``(num_eqn, batch...)`` with at least one batch axis (one interface is a batch
+of one, ``q[:, None]``), and every output element depends only on the
 matching input elements, so results are bitwise identical however the batch
 is carved up.  Every result array is fresh per call: a solver never writes its
 inputs, and no result shares memory with an input or with another call's
 results, so concurrent calls over one field cannot race.  The solvers compute
-in place in their result slots (see _one_as_batch for single interfaces).
+in place in their result slots, through `out=` and in-place operators, which
+need arrays: that is why a state with no batch axis is a ValueError.
 
 State conventions:
   advection       q = (tracer,)
@@ -28,7 +29,7 @@ import enum
 import inspect
 import math
 from dataclasses import dataclass, field
-from functools import reduce, wraps
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -49,8 +50,7 @@ class KernelError(ValueError):
     """Inadmissible or non-finite kernel input.
 
     `side` is "left", "right" or "input" (None for parameter problems);
-    `element` is the batch multi-index of the first offending interface, ()
-    for a single-interface call.
+    `element` is the batch multi-index of the first offending interface.
     """
 
     def __init__(self, message: str, side: str | None = None, element: tuple | None = None):
@@ -99,6 +99,13 @@ class KernelDescriptor:
 
     def __post_init__(self):
         object.__setattr__(self, "signature", inspect.signature(self.bind))
+
+    def check_components(self, num_eqn: int, num_aux: int):
+        """ValueError unless the state and aux component counts of a grid, or
+        of the fields passed to a sweep, are this kernel's."""
+        if (num_eqn, num_aux) != (self.num_eqn, self.num_aux):
+            raise ValueError(f"kernel {self.name} expects num_eqn={self.num_eqn}, "
+                             f"num_aux={self.num_aux}; got num_eqn={num_eqn}, num_aux={num_aux}")
 
 
 @dataclass(frozen=True)
@@ -170,9 +177,9 @@ def _check_states(ql: np.ndarray, qr: np.ndarray,
     """
     ql = np.asarray(ql, dtype=float)
     qr = np.asarray(qr, dtype=float)
-    if ql.shape != qr.shape or ql.ndim < 1 or ql.shape[0] != num_eqn:
+    if ql.shape != qr.shape or ql.ndim < 2 or ql.shape[0] != num_eqn:
         raise ValueError(
-            f"states must share a ({num_eqn}, ...) shape, got {ql.shape} and {qr.shape}"
+            f"states must share a ({num_eqn}, batch...) shape, got {ql.shape} and {qr.shape}"
         )
     with np.errstate(invalid="ignore", over="ignore"):
         jump = qr - ql
@@ -215,45 +222,6 @@ def _result_array(lead: tuple, batch: np.ndarray) -> np.ndarray:
         n0, n1 = batch.shape
         return np.empty(lead + (n1, n0)).swapaxes(-1, -2)
     return np.empty(lead + batch.shape)
-
-
-def _lift(arg):
-    """`arg` with a trailing batch axis of length one: array-likes and each
-    plane of CellPlanes gain it; parameters and None pass through."""
-    if isinstance(arg, CellPlanes):
-        return CellPlanes(tuple(np.asarray(plane)[..., np.newaxis] for plane in arg.planes))
-    if isinstance(arg, (np.ndarray, list, tuple)):
-        return np.asarray(arg, dtype=float)[..., np.newaxis]
-    return arg
-
-
-def _one_as_batch(solver):
-    """Let `solver` take a single interface, states of shape (num_eqn,).
-
-    The solvers compute in place, through `out=` and in-place operators into
-    their result slots, and `out=` needs arrays; arithmetic on 0-d inputs
-    returns numpy scalars.  So a single interface is solved as a batch of
-    one: every array argument gains a trailing axis, every result loses it,
-    a KernelError names element () as before, and a malformed argument's
-    ValueError names the shapes given.  The arithmetic is the same, so are
-    the bits.
-    """
-    @wraps(solver)
-    def solve(direction, ql, qr, *args, **kwargs):
-        if np.ndim(ql) != 1:
-            return solver(direction, ql, qr, *args, **kwargs)
-        try:
-            res = solver(direction, *map(_lift, (ql, qr, *args)),
-                         **{name: _lift(arg) for name, arg in kwargs.items()})
-        except KernelError as err:
-            if err.element is not None:
-                err.element = ()
-            raise
-        except ValueError:  # a malformed argument: fail as the unlifted call does
-            return solver(direction, ql, qr, *args, **kwargs)
-        return RiemannResult(res.waves[..., 0], res.speeds[..., 0],
-                             res.amdq[..., 0], res.apdq[..., 0])
-    return solve
 
 
 def rp_advection(direction: Direction, ql, qr, u: float, v: float) -> RiemannResult:
@@ -308,7 +276,6 @@ def _acoustics(direction: Direction, jump, zl, zr, cl, cr) -> RiemannResult:
     return RiemannResult(waves, speeds, amdq, apdq)
 
 
-@_one_as_batch
 def rp_acoustics_const(direction: Direction, ql, qr, params: AcousticsParams) -> RiemannResult:
     """Constant-coefficient acoustics: two sound waves at speeds -c, +c.
 
@@ -322,7 +289,6 @@ def rp_acoustics_const(direction: Direction, ql, qr, params: AcousticsParams) ->
     return _acoustics(direction, jump, z, z, c, c)
 
 
-@_one_as_batch
 def rp_acoustics_var(direction: Direction, ql, qr, auxl, auxr) -> RiemannResult:
     """Acoustics across a material jump: per-cell (rho, c) on each side.
 
@@ -365,7 +331,7 @@ class CellPlanes:
 
 
 def _euler_cells(q: np.ndarray, gamma: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Pressure and Roe planes of gas states q, (4,) + batch, with positive density.
+    """Pressure and Roe planes of gas states q, (4, batch...), with positive density.
 
     Returns (p, planes), planes as in CellPlanes, from
 
@@ -378,7 +344,7 @@ def _euler_cells(q: np.ndarray, gamma: float) -> tuple[np.ndarray, tuple[np.ndar
     order, so it is the same bits in either sweep direction.  Separate arrays,
     not one stacked (4,) + batch array: writing the planes into one through
     `out=` made plain `rp_euler` calls about 6% slower (8k-interface calls on
-    a 2-core Xeon VM).  A batch, not one cell: see _one_as_batch.
+    a 2-core Xeon VM).
     """
     rho = q[0]
     u = q[1] / rho
@@ -399,7 +365,7 @@ def _euler_cells(q: np.ndarray, gamma: float) -> tuple[np.ndarray, tuple[np.ndar
 
 
 def euler_cell_planes(q, gamma: float) -> CellPlanes | None:
-    """The CellPlanes of gas states q, (4,) + batch, or None if any cell fails.
+    """The CellPlanes of gas states q, (4, batch...), or None if any cell fails.
 
     Guard only, one reduction each for density, pressure and finiteness: a
     batch whose density and pressure exceed the floor and whose pressure is
@@ -409,11 +375,8 @@ def euler_cell_planes(q, gamma: float) -> CellPlanes | None:
     momentum or energy makes the pressure infinite or NaN.
     """
     q = np.asarray(q, dtype=float)
-    if q.ndim < 1 or q.shape[0] != 4:
-        raise ValueError(f"gas states must have 4 components, got shape {q.shape}")
-    if q.ndim == 1:  # one cell, as a batch of one (see _one_as_batch)
-        cells = euler_cell_planes(q[:, np.newaxis], gamma)
-        return None if cells is None else cells[0]
+    if q.ndim < 2 or q.shape[0] != 4:
+        raise ValueError(f"gas states must have shape (4, batch...), got {q.shape}")
     if not np.min(q[0], initial=np.inf) > ADMISSIBILITY_FLOOR:
         return None
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite cell is caught below
@@ -440,8 +403,7 @@ def _euler_roe(direction: Direction, jump, cells_l, cells_r, gamma: float) -> Ri
     Every value is computed in place, in its result slot where it has one
     (u_hat is speeds[1]; the strengths are the waves' density slots), with
     the operations and their order of the formulas; an operand moves only
-    across a single + or x, which IEEE makes commutative.  A batch, not one
-    interface: see _one_as_batch.
+    across a single + or x, which IEEE makes commutative.
     """
     ni = _normal_slot(direction)
     ti = 3 - ni
@@ -517,7 +479,6 @@ def _euler_roe(direction: Direction, jump, cells_l, cells_r, gamma: float) -> Ri
     return RiemannResult(waves, speeds, amdq, apdq)
 
 
-@_one_as_batch
 def rp_euler(direction: Direction, ql, qr, params: EulerParams,
              auxl=None, auxr=None) -> RiemannResult:
     """Ideal-gas dynamics via Roe linearization, three waves, no entropy fix.
@@ -582,7 +543,8 @@ class Kernel:
     """A kernel descriptor bound to its parameters, ready for sweeping.
 
     `solve(direction, ql, qr, auxl, auxr)` applies the underlying pointwise
-    solver.  Kernels that take no aux ignore the aux arguments, except that
+    solver to a batch, states (num_eqn, batch...) as every solver takes
+    them.  Kernels that take no aux ignore the aux arguments, except that
     Euler reads CellPlanes there (see `rp_euler`); a plain array is ignored.
     """
 

@@ -69,6 +69,11 @@ from .parallel import Backend, ParallelError, Serial, for_each_unit, plan
 # peaks near 3.1 MiB, near a 2 MiB per-core L2.  The Euler kernel
 # microbenchmark was fastest at 2^13-2^14 interfaces per call, and these calls
 # cut euler-cellwise's serial step from 139.8 to 116.9 ms (BENCH_12.json).
+# One budget for both was re-checked and is slower: giving one-thread regions
+# the threaded budget made serial steps 1.39-1.46x slower on euler-cellwise
+# (the threaded budget won 0 of 24 same-process step pairs, in each of two
+# runs), 1.22-1.31x on acoustics-tiled (0/24) and 1.03-1.09x on
+# advection-large (4/24), on a 2-core Xeon VM.
 #
 # More threads, 5.75 MiB and 2^16: sized for the interpreter lock, not a cache,
 # since smaller calls mean more lock hand-offs between the threads.  On a
@@ -332,17 +337,7 @@ def sweep(state: StateField, aux: AuxField | None, kernel: Kernel,
     row-major order, x before y within a row.
     """
     spec = state.spec
-    if kernel.descriptor.num_eqn != spec.num_eqn:
-        raise ValueError(
-            f"kernel {kernel.name} expects num_eqn={kernel.descriptor.num_eqn}, "
-            f"grid carries {spec.num_eqn}"
-        )
-    aux_comp = aux.num_comp if aux is not None else 0
-    if kernel.descriptor.num_aux != aux_comp:
-        raise ValueError(
-            f"kernel {kernel.name} expects num_aux={kernel.descriptor.num_aux}, "
-            f"grid carries {aux_comp}"
-        )
+    kernel.descriptor.check_components(spec.num_eqn, aux.num_comp if aux is not None else 0)
 
     nx, ny = spec.nx, spec.ny
     if isinstance(strategy, (RowWise, CellWise)):

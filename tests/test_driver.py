@@ -73,6 +73,16 @@ class TestConfig:
             SimulationConfig(spec=gas_spec(8, 8), kernel="euler",
                              ic="advection-gaussian", num_steps=1)
 
+    def test_grid_must_carry_the_kernels_components(self):
+        # refused when built, not later inside run
+        with pytest.raises(ValueError, match="kernel euler expects num_eqn=4, num_aux=0; "
+                                             "got num_eqn=1, num_aux=0"):
+            SimulationConfig(spec=GridSpec(8, 8, .1, .1, num_eqn=1), kernel="euler",
+                             ic="euler-sod-x", num_steps=1)
+        with pytest.raises(ValueError, match="expects num_eqn=3, num_aux=2"):
+            SimulationConfig(spec=GridSpec(8, 8, .1, .1, num_eqn=3), kernel="acoustics-var",
+                             ic="acoustics-var-interface", num_steps=1)
+
     def test_periodic_axis_must_cover_the_ghost_frame(self):
         for nx, ny in ((1, 8), (8, 1)):
             with pytest.raises(ValueError, match="ghost frame"):

@@ -38,59 +38,61 @@ def test_descriptor_table():
 
 class TestAdvection:
     def test_rightward_wind_sends_jump_right(self):
-        res = rp_advection(Direction.X, [2.0], [5.0], u=1.0, v=0.0)
-        assert res.waves[0, 0] == 3.0
-        assert res.speeds[0] == 1.0
-        assert res.amdq[0] == 0.0
-        assert res.apdq[0] == 3.0
+        res = rp_advection(Direction.X, [[2.0]], [[5.0]], u=1.0, v=0.0)
+        assert res.waves[0, 0, 0] == 3.0
+        assert res.speeds[0, 0] == 1.0
+        assert res.amdq[0, 0] == 0.0
+        assert res.apdq[0, 0] == 3.0
 
     def test_leftward_wind_sends_jump_left(self):
-        res = rp_advection(Direction.X, [2.0], [5.0], u=-1.0, v=0.0)
-        assert res.amdq[0] == -3.0
-        assert res.apdq[0] == 0.0
+        res = rp_advection(Direction.X, [[2.0]], [[5.0]], u=-1.0, v=0.0)
+        assert res.amdq[0, 0] == -3.0
+        assert res.apdq[0, 0] == 0.0
 
     @given(u=finite, v=finite, q=finite)
     @settings(deadline=None, max_examples=60)
     def test_zero_jump_is_silent(self, u, v, q):
-        res = rp_advection(Direction.X, [q], [q], u, v)
-        assert res.waves[0, 0] == 0.0 and res.amdq[0] == 0.0 and res.apdq[0] == 0.0
+        res = rp_advection(Direction.X, [[q]], [[q]], u, v)
+        assert res.waves[0, 0, 0] == 0.0 and res.amdq[0, 0] == 0.0 and res.apdq[0, 0] == 0.0
 
     def test_y_direction_uses_v(self):
-        res = rp_advection(Direction.Y, [0.0], [1.0], u=9.0, v=-2.0)
-        assert res.speeds[0] == -2.0
-        assert res.amdq[0] == -2.0
+        res = rp_advection(Direction.Y, [[0.0]], [[1.0]], u=9.0, v=-2.0)
+        assert res.speeds[0, 0] == -2.0
+        assert res.amdq[0, 0] == -2.0
 
     @given(ql=finite, qr=finite, u=finite, v=finite)
     @settings(deadline=None, max_examples=100)
     def test_fluctuation_identity(self, ql, qr, u, v):
-        res = rp_advection(Direction.X, [ql], [qr], u, v)
+        res = rp_advection(Direction.X, [[ql]], [[qr]], u, v)
         assert rel_err(res.amdq + res.apdq, wave_sum(res)) <= 1e-12
 
     def test_rejects_non_finite(self):
         with pytest.raises(KernelError):
-            rp_advection(Direction.X, [np.nan], [1.0], 1.0, 0.0)
+            rp_advection(Direction.X, [[np.nan]], [[1.0]], 1.0, 0.0)
         with pytest.raises(KernelError):
-            rp_advection(Direction.X, [0.0], [1.0], np.inf, 0.0)
+            rp_advection(Direction.X, [[0.0]], [[1.0]], np.inf, 0.0)
 
 
 class TestAcousticsConst:
     UNIT = AcousticsParams(density=1.0, bulk=1.0)
 
     def test_pressure_jump_splits_evenly(self):
-        res = rp_acoustics_const(Direction.X, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], self.UNIT)
-        assert np.allclose(res.amdq, [-0.5, 0.5, 0.0], atol=1e-15)
-        assert np.allclose(res.apdq, [0.5, 0.5, 0.0], atol=1e-15)
+        res = rp_acoustics_const(Direction.X, [[0.0], [0.0], [0.0]], [[1.0], [0.0], [0.0]],
+                                 self.UNIT)
+        assert np.allclose(res.amdq[..., 0], [-0.5, 0.5, 0.0], atol=1e-15)
+        assert np.allclose(res.apdq[..., 0], [0.5, 0.5, 0.0], atol=1e-15)
 
     def test_velocity_jump_splits_evenly(self):
-        res = rp_acoustics_const(Direction.X, [0.0, 0.0, 0.0], [0.0, 1.0, 0.0], self.UNIT)
-        assert np.allclose(res.amdq, [0.5, -0.5, 0.0], atol=1e-15)
-        assert np.allclose(res.apdq, [0.5, 0.5, 0.0], atol=1e-15)
+        res = rp_acoustics_const(Direction.X, [[0.0], [0.0], [0.0]], [[0.0], [1.0], [0.0]],
+                                 self.UNIT)
+        assert np.allclose(res.amdq[..., 0], [0.5, -0.5, 0.0], atol=1e-15)
+        assert np.allclose(res.apdq[..., 0], [0.5, 0.5, 0.0], atol=1e-15)
 
     def test_zero_jump_is_silent(self):
-        q = [0.3, -0.2, 0.9]
+        q = [[0.3], [-0.2], [0.9]]
         res = rp_acoustics_const(Direction.Y, q, q, AcousticsParams(2.0, 8.0))
         assert np.all(res.amdq == 0.0) and np.all(res.apdq == 0.0)
-        assert np.array_equal(res.speeds, [-2.0, 2.0])  # c = sqrt(8/2)
+        assert np.array_equal(res.speeds[..., 0], [-2.0, 2.0])  # c = sqrt(8/2)
 
     def test_transverse_slot_untouched(self):
         rng = np.random.default_rng(5)
@@ -119,11 +121,11 @@ class TestAcousticsConst:
 
 class TestAcousticsVar:
     def test_impedance_mismatch_example(self):
-        res = rp_acoustics_var(Direction.X, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
-                               [1.0, 1.0], [1.0, 3.0])
-        assert np.allclose(res.amdq, [-0.25, 0.25, 0.0], atol=1e-15)
-        assert np.allclose(res.apdq, [2.25, 0.75, 0.0], atol=1e-15)
-        assert np.array_equal(res.speeds, [-1.0, 3.0])
+        res = rp_acoustics_var(Direction.X, [[0.0], [0.0], [0.0]], [[1.0], [0.0], [0.0]],
+                               [[1.0], [1.0]], [[1.0], [3.0]])
+        assert np.allclose(res.amdq[..., 0], [-0.25, 0.25, 0.0], atol=1e-15)
+        assert np.allclose(res.apdq[..., 0], [2.25, 0.75, 0.0], atol=1e-15)
+        assert np.array_equal(res.speeds[..., 0], [-1.0, 3.0])
 
     def test_uniform_material_reduces_to_const_bitwise(self):
         rng = np.random.default_rng(7)
@@ -142,8 +144,8 @@ class TestAcousticsVar:
             assert np.array_equal(var.speeds, const.speeds)
 
     def test_zero_jump_is_silent(self):
-        q = [1.0, 2.0, 3.0]
-        res = rp_acoustics_var(Direction.X, q, q, [1.0, 2.0], [3.0, 0.5])
+        q = [[1.0], [2.0], [3.0]]
+        res = rp_acoustics_var(Direction.X, q, q, [[1.0], [2.0]], [[3.0], [0.5]])
         assert np.all(res.amdq == 0.0) and np.all(res.apdq == 0.0)
 
     def test_matches_interface_matrix_oracle(self):
@@ -159,10 +161,11 @@ class TestAcousticsVar:
             assert rel_err(wave_sum(res), ref) <= 1e-12
 
     def test_nonpositive_material_rejected(self):
+        ql, qr = [[0.0]] * 3, [[1.0], [0.0], [0.0]]
         with pytest.raises(KernelError, match="left"):
-            rp_acoustics_var(Direction.X, [0.0] * 3, [1.0, 0, 0], [0.0, 1.0], [1.0, 1.0])
+            rp_acoustics_var(Direction.X, ql, qr, [[0.0], [1.0]], [[1.0], [1.0]])
         with pytest.raises(KernelError, match="right"):
-            rp_acoustics_var(Direction.X, [0.0] * 3, [1.0, 0, 0], [1.0, 1.0], [1.0, -3.0])
+            rp_acoustics_var(Direction.X, ql, qr, [[1.0], [1.0]], [[1.0], [-3.0]])
         # a NaN fails the batch guard (min > floor) and is named by the scan
         auxl = np.ones((2, 6))
         auxr = np.ones((2, 6))
@@ -187,18 +190,19 @@ class TestAcousticsVar:
 
 class TestEuler:
     P = EulerParams(1.4)
+    QL, QR = SOD_L[:, None], SOD_R[:, None]  # one interface, as a batch of one
 
     def test_zero_jump_is_silent_but_speeds_remain(self):
-        res = rp_euler(Direction.X, SOD_L, SOD_L, self.P)
+        res = rp_euler(Direction.X, self.QL, self.QL, self.P)
         assert np.all(res.waves == 0.0)
         assert np.all(res.amdq == 0.0) and np.all(res.apdq == 0.0)
         # sound speed of the uniform state: sqrt(gamma p / rho)
-        assert np.abs(res.speeds[2]) == pytest.approx(np.sqrt(1.4), rel=1e-12)
+        assert np.abs(res.speeds[2, 0]) == pytest.approx(np.sqrt(1.4), rel=1e-12)
 
     def test_two_state_tube_flux_difference(self):
-        res = rp_euler(Direction.X, SOD_L, SOD_R, self.P)
+        res = rp_euler(Direction.X, self.QL, self.QR, self.P)
         total = res.amdq + res.apdq
-        assert np.allclose(total, [0.0, -0.9, 0.0, 0.0], atol=1e-14)
+        assert np.allclose(total[..., 0], [0.0, -0.9, 0.0, 0.0], atol=1e-14)
 
     def test_conservation_property_randomized(self):
         rng = np.random.default_rng(9)
@@ -222,26 +226,26 @@ class TestEuler:
 
     def test_middle_wave_carries_contact_and_shear(self):
         # density and transverse momentum jump at constant pressure and velocity
-        ql = np.array([1.0, 0.5, 0.2, 1.0 / 0.4 + 0.5 * (0.25 + 0.04)])
+        ql = np.array([1.0, 0.5, 0.2, 1.0 / 0.4 + 0.5 * (0.25 + 0.04)])[:, None]
         rho_r, v_r = 4.0, -0.3
         qr = np.array([rho_r, rho_r * 0.5, rho_r * v_r,
-                       1.0 / 0.4 + 0.5 * rho_r * (0.25 + v_r * v_r)])
+                       1.0 / 0.4 + 0.5 * rho_r * (0.25 + v_r * v_r)])[:, None]
         res = rp_euler(Direction.X, ql, qr, self.P)
         # only the u-speed wave moves anything
         assert np.allclose(res.waves[0], 0.0, atol=1e-12)
         assert np.allclose(res.waves[2], 0.0, atol=1e-12)
-        assert res.waves[1, 0] == pytest.approx(3.0, rel=1e-12)
+        assert res.waves[1, 0, 0] == pytest.approx(3.0, rel=1e-12)
 
     def test_inadmissible_inputs_identify_side(self):
-        bad_rho = np.array([-1.0, 0.0, 0.0, 2.5])
+        bad_rho = np.array([-1.0, 0.0, 0.0, 2.5])[:, None]
         with pytest.raises(KernelError, match="density on left"):
-            rp_euler(Direction.X, bad_rho, SOD_R, self.P)
-        bad_p = np.array([1.0, 10.0, 0.0, 2.5])  # kinetic energy exceeds total
+            rp_euler(Direction.X, bad_rho, self.QR, self.P)
+        bad_p = np.array([1.0, 10.0, 0.0, 2.5])[:, None]  # kinetic energy exceeds total
         with pytest.raises(KernelError, match="pressure on right") as exc:
-            rp_euler(Direction.X, SOD_L, bad_p, self.P)
-        assert exc.value.element == ()  # a single interface has no batch index
-        with pytest.raises(ValueError, match=r"got \(4,\) and \(3,\)"):
-            rp_euler(Direction.X, SOD_L, SOD_R[:3], self.P)
+            rp_euler(Direction.X, self.QL, bad_p, self.P)
+        assert exc.value.element == (0,)
+        with pytest.raises(ValueError, match=r"got \(4, 1\) and \(3, 1\)"):
+            rp_euler(Direction.X, self.QL, self.QR[:3], self.P)
 
     def test_batched_error_reports_offending_element(self):
         ql = np.tile(SOD_L[:, None], (1, 8)).copy()
@@ -306,16 +310,42 @@ class TestPurityAndBatching:
                   "euler": lambda d, a, b: rp_euler(d, a, b, EulerParams(1.4))}[name]
         if name == "acoustics-var":
             batched = rp_acoustics_var(Direction.X, ql, qr, auxl, auxr)
-            singles = [rp_acoustics_var(Direction.X, ql[:, k], qr[:, k],
-                                        auxl[:, k], auxr[:, k]) for k in range(n)]
+            singles = [rp_acoustics_var(Direction.X, ql[:, k:k + 1], qr[:, k:k + 1],
+                                        auxl[:, k:k + 1], auxr[:, k:k + 1]) for k in range(n)]
         else:
             batched = kernel(Direction.X, ql, qr)
-            singles = [kernel(Direction.X, ql[:, k], qr[:, k]) for k in range(n)]
+            singles = [kernel(Direction.X, ql[:, k:k + 1], qr[:, k:k + 1]) for k in range(n)]
         for k, single in enumerate(singles):
-            assert np.array_equal(batched.amdq[:, k], single.amdq)
-            assert np.array_equal(batched.apdq[:, k], single.apdq)
-            assert np.array_equal(batched.speeds[:, k], single.speeds)
-            assert np.array_equal(batched.waves[:, :, k], single.waves)
+            assert np.array_equal(batched.amdq[:, k], single.amdq[..., 0])
+            assert np.array_equal(batched.apdq[:, k], single.apdq[..., 0])
+            assert np.array_equal(batched.speeds[:, k], single.speeds[..., 0])
+            assert np.array_equal(batched.waves[:, :, k], single.waves[..., 0])
+
+
+class TestBatchesOnly:
+    """A state with no batch axis is refused; one interface is a batch of one."""
+
+    @pytest.mark.parametrize("name", ["advection", "acoustics-const", "acoustics-var", "euler"])
+    def test_state_without_batch_axis_is_rejected(self, name):
+        neqn = DESCRIPTORS[name].num_eqn
+        q = SOD_L if name == "euler" else np.ones(neqn)
+        aux = np.ones(2)
+        solver = {"advection": lambda: rp_advection(Direction.X, q, q, 1.5, -0.5),
+                  "acoustics-const": lambda: rp_acoustics_const(
+                      Direction.X, q, q, AcousticsParams(2.0, 3.0)),
+                  "acoustics-var": lambda: rp_acoustics_var(Direction.X, q, q, aux, aux),
+                  "euler": lambda: rp_euler(Direction.X, q, q, EulerParams(1.4))}[name]
+        kernel = make_kernel(name, **KERNEL_PARAMS[name])
+        for call in (solver, lambda: kernel.solve(Direction.X, q, q, aux, aux)):
+            with pytest.raises(ValueError, match=rf"\({neqn}, batch\.\.\.\)"):
+                call()
+        res = kernel.solve(Direction.X, q[:, None], q[:, None], aux[:, None], aux[:, None])
+        assert res.amdq.shape == (neqn, 1)
+
+    def test_cell_pass_rejects_state_without_batch_axis(self):
+        with pytest.raises(ValueError, match=r"\(4, batch\.\.\.\)"):
+            euler_cell_planes(SOD_L, 1.4)
+        assert isinstance(euler_cell_planes(SOD_L[:, None], 1.4), CellPlanes)
 
 
 def _layouts(arr: np.ndarray) -> dict:
@@ -393,8 +423,8 @@ class TestEulerCellPlanes:
                 direction, ql, qr, euler_cell_planes(ql, 1.4), euler_cell_planes(qr, 1.4)),
                 plain)
 
-        # a single interface and an empty batch
-        ql, qr = random_gas_states(rng, 2, 1.4).T
+        # one interface, as a batch of one, and an empty batch
+        ql, qr = np.split(random_gas_states(rng, 2, 1.4), 2, axis=1)
         self._assert_same_bits(rp_euler(direction, ql, qr, self.P, euler_cell_planes(ql, 1.4),
                                         euler_cell_planes(qr, 1.4)),
                                rp_euler(direction, ql, qr, self.P))
@@ -459,16 +489,16 @@ class TestGuardThenScan:
             res = rp_advection(Direction.X, [[-1e308, 0.0, 0.0]], [[1e308, 1e308, 1e308]],
                                1.0, 0.0)
             assert list(res.apdq[0]) == [np.inf, 1e308, 1e308]
-            res = rp_acoustics_const(Direction.X, [-1e308, 0.0, 0.0], [1e308, 0.0, 0.0],
-                                     AcousticsParams(1.0, 1.0))
-            assert np.isinf(res.waves[1, 0])
+            res = rp_acoustics_const(Direction.X, [[-1e308], [0.0], [0.0]],
+                                     [[1e308], [0.0], [0.0]], AcousticsParams(1.0, 1.0))
+            assert np.isinf(res.waves[1, 0, 0])
 
 
 class TestMakeKernel:
     def test_binds_parameters(self):
         k = make_kernel("advection", u=2.0, v=0.5)
-        res = k.solve(Direction.X, [0.0], [1.0])
-        assert res.apdq[0] == 2.0
+        res = k.solve(Direction.X, [[0.0]], [[1.0]])
+        assert res.apdq[0, 0] == 2.0
         assert k.descriptor.name == "advection"
 
     def test_unknown_kernel(self):
@@ -492,7 +522,7 @@ class TestMakeKernel:
     def test_acoustics_var_requires_aux(self):
         k = make_kernel("acoustics-var")
         with pytest.raises(ValueError, match="aux"):
-            k.solve(Direction.X, [0.0] * 3, [1.0, 0, 0])
+            k.solve(Direction.X, [[0.0]] * 3, [[1.0], [0.0], [0.0]])
 
     def test_euler_default_gamma(self):
         assert make_kernel("euler").params["gamma"] == 1.4
@@ -510,7 +540,8 @@ class TestMakeKernel:
 def _golden_case(name: str, direction: Direction, case: str):
     """Inputs of one pinned kernel call, drawn from uniform variates only.
 
-    `case` is "single" (one interface), "batch" (a 1-D batch of 7) or
+    `case` is "single" (one interface, as a batch of one), "batch" (a 1-D
+    batch of 7) or
     "planar" (an 8 x 6 block cut, as a sweep cuts it, from a
     component-planar 11 x 9 field); a "+planes" suffix hands Euler the
     CellPlanes of both sides in the aux slots.
@@ -531,7 +562,7 @@ def _golden_case(name: str, direction: Direction, case: str):
         left = (slice(1 - di, 9 - di), slice(1 - dj, 7 - dj))
         right = (slice(1, 9), slice(1, 7))
     else:
-        left, right = (0,), (1,)    # single: cells 0 and 1; batch: rows 0 and 1
+        left, right = (slice(0, 1),), (slice(1, 2),)  # single: cells 0, 1; batch: rows 0, 1
     ql, qr = q[(slice(None),) + left], q[(slice(None),) + right]
     auxl, auxr = aux[(slice(None),) + left], aux[(slice(None),) + right]
     if planes:
@@ -615,7 +646,7 @@ def test_results_are_fresh_and_inputs_untouched(key):
                        for f in ("waves", "speeds", "amdq", "apdq")), field
 
 
-@pytest.mark.parametrize("shape", [(), (2,), (2, 7), (11, 9)])
+@pytest.mark.parametrize("shape", [(1,), (2,), (2, 7), (11, 9)])
 def test_cell_planes_are_fresh_and_states_untouched(shape):
     q = random_gas_states(np.random.default_rng(21), int(np.prod(shape)), 1.4) \
         .reshape((4,) + shape)
