@@ -3,10 +3,9 @@ interchangeable grid traversals, and pluggable threading backends."""
 
 from .grid import (AuxField, BoundaryCondition, FluctuationField, GridSpec,
                    StateField, allocate_fields, fill_ghost)
-from .kernels import (DESCRIPTORS, KERNEL_NAMES, AcousticsParams, Direction,
-                      EulerParams, Kernel, KernelDescriptor, KernelError,
-                      RiemannResult, euler_flux, make_kernel, rp_acoustics_const,
-                      rp_acoustics_var, rp_advection, rp_euler)
+from .kernels import (DESCRIPTORS, KERNEL_NAMES, Direction, Kernel, KernelDescriptor,
+                      KernelError, RiemannResult, euler_flux, make_kernel,
+                      rp_acoustics_const, rp_acoustics_var, rp_advection, rp_euler)
 from .parallel import (Backend, ParallelError, Serial, StaticThreads,
                        WorkStealing, default_thread_count, detect_cores,
                        for_each_unit)

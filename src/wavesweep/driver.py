@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import (AuxField, BoundaryCondition, FluctuationField, GridSpec, StateField,
-                   check_ghost_frame, fill_ghost)
+                   check_ghost_frame, check_same_grid, fill_ghost)
 from .kernels import Kernel, lookup_kernel, make_kernel
 from .parallel import Backend, Serial
 from .sweep import CellWise, Strategy, SweepError, apply_update, sweep
@@ -223,11 +223,12 @@ def step(state: StateField, aux: AuxField | None, config: SimulationConfig,
 
     The step size comes from this sweep's own max wave speeds, so the first
     step needs no pre-pass.  The fluctuations go into this thread's reused
-    field, so after its first step a step allocates nothing grid-sized.
-    Mutates and returns `state`.
+    field, so after its first step a step allocates nothing grid-sized.  The
+    state must be of the config's grid.  Mutates and returns `state`.
     """
-    kernel = resolve_kernel(config)
     spec = config.spec
+    check_same_grid(spec, state=state)
+    kernel = resolve_kernel(config)
 
     fill_ghost(state, config.bc_x, config.bc_y)
     if aux is not None and aux.num_comp:
@@ -235,7 +236,7 @@ def step(state: StateField, aux: AuxField | None, config: SimulationConfig,
 
     t0 = time.perf_counter()
     fluct, stats = sweep(state, aux, kernel, config.strategy, config.backend,
-                         out=_fluct_field(state.spec))
+                         out=_fluct_field(spec))
     t1 = time.perf_counter()
     dt = choose_dt(stats.max_speed_x, stats.max_speed_y, spec.dx, spec.dy, ctl, remaining)
     apply_update(state, fluct, dt, backend=config.backend)

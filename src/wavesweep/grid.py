@@ -155,6 +155,14 @@ def allocate_fields(spec: GridSpec) -> tuple[StateField, AuxField, FluctuationFi
     return StateField(spec), AuxField(spec), FluctuationField(spec)
 
 
+def check_same_grid(spec: GridSpec, **fields):
+    """Raise ValueError, naming both specs, if a field given by name (None is
+    skipped) lives on a grid other than `spec`."""
+    for name, fld in fields.items():
+        if fld is not None and fld.spec != spec:
+            raise ValueError(f"{name} is a field for {fld.spec}, grid is {spec}")
+
+
 def check_ghost_frame(spec: GridSpec, bc_x: BoundaryCondition, bc_y: BoundaryCondition):
     """Raise ValueError if a periodic axis has fewer interior cells than the
     ghost frame is deep: its ghost fill wraps num_ghost interior cells."""

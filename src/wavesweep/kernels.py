@@ -1,8 +1,10 @@
 """Pointwise Riemann solvers.
 
 Each solver is a pure function from the states of two adjacent cells (plus
-material data or equation parameters) to waves, speeds, and the left/right
-fluctuations they induce.  Nothing here knows about grids, sweeps, or
+per-cell material data in the aux slots) to waves, speeds, and the left/right
+fluctuations they induce, called solve(direction, ql, qr, auxl=None,
+auxr=None, *, <params>) with its equation parameters as keyword-only floats,
+which it checks on every call.  Nothing here knows about grids, sweeps, or
 threads: a solver takes a batch of interfaces, states of shape
 ``(num_eqn, batch...)`` with at least one batch axis (one interface is a batch
 of one, ``q[:, None]``), and every output element depends only on the
@@ -29,7 +31,7 @@ import enum
 import inspect
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from typing import Callable
 
 import numpy as np
@@ -79,12 +81,12 @@ class RiemannResult:
 class KernelDescriptor:
     """One kernel family, declared once, as its entry in DESCRIPTORS.
 
-    `bind(**params)` returns the family's solve(direction, ql, qr, auxl=None,
-    auxr=None) for those parameters; its signature, the kernel's parameter
-    list, is inspected once here rather than on every make_kernel call.  A
-    `cell_pass`, if any, is called as cell_pass(q, **kernel.params) on a block
-    of cells: what the solver would compute for each cell on every side it is
-    read from, once, wrapped for its solve's aux slots, or None when the block
+    `solve` is the family's solver, solve(direction, ql, qr, auxl=None,
+    auxr=None, *, <params>); its keyword-only parameters, the kernel's
+    parameter list, are read once here rather than on every make_kernel call.
+    A `cell_pass`, if any, is called as cell_pass(q, **kernel.params) on a
+    block of cells: what the solver would compute for each cell on every side
+    it is read from, once, wrapped for its aux slots, or None when the block
     fails the solver's checks.  A sweep reads it here, not from the bound
     solve, so a Kernel rebuilt around a wrapped solve keeps its cell pass.
     """
@@ -93,12 +95,14 @@ class KernelDescriptor:
     num_eqn: int
     num_waves: int
     num_aux: int
-    bind: Callable[..., Callable[..., RiemannResult]]
+    solve: Callable[..., RiemannResult]
     cell_pass: Callable[..., CellPlanes | None] | None = None
     signature: inspect.Signature = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "signature", inspect.signature(self.bind))
+        params = inspect.signature(self.solve).parameters.values()
+        object.__setattr__(self, "signature", inspect.Signature(
+            [p for p in params if p.kind is inspect.Parameter.KEYWORD_ONLY]))
 
     def check_components(self, num_eqn: int, num_aux: int):
         """ValueError unless the state and aux component counts of a grid, or
@@ -106,39 +110,6 @@ class KernelDescriptor:
         if (num_eqn, num_aux) != (self.num_eqn, self.num_aux):
             raise ValueError(f"kernel {self.name} expects num_eqn={self.num_eqn}, "
                              f"num_aux={self.num_aux}; got num_eqn={num_eqn}, num_aux={num_aux}")
-
-
-@dataclass(frozen=True)
-class AcousticsParams:
-    """Homogeneous acoustic medium: density and bulk modulus."""
-
-    density: float
-    bulk: float
-
-    def __post_init__(self):
-        if not (self.density > 0 and self.bulk > 0):
-            raise ValueError(
-                f"density and bulk modulus must be positive, got {self.density}, {self.bulk}"
-            )
-
-    @property
-    def sound_speed(self) -> float:
-        return math.sqrt(self.bulk / self.density)
-
-    @property
-    def impedance(self) -> float:
-        return self.density * self.sound_speed
-
-
-@dataclass(frozen=True)
-class EulerParams:
-    """Ideal-gas parameters."""
-
-    gamma: float = 1.4
-
-    def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
 
 
 def _first_bad(mask: np.ndarray) -> tuple:
@@ -224,14 +195,16 @@ def _result_array(lead: tuple, batch: np.ndarray) -> np.ndarray:
     return np.empty(lead + batch.shape)
 
 
-def rp_advection(direction: Direction, ql, qr, u: float, v: float) -> RiemannResult:
+def rp_advection(direction: Direction, ql, qr, auxl=None, auxr=None, *,
+                 u: float, v: float) -> RiemannResult:
     """Scalar advection with constant velocity (u, v): pure upwinding.
 
-    One wave W = qr - ql at speed u (X sweeps) or v (Y sweeps).
+    One wave W = qr - ql at speed u (X sweeps) or v (Y sweeps).  The aux
+    slots are ignored.
     """
-    _, _, jump = _check_states(ql, qr, 1)
     if not (math.isfinite(u) and math.isfinite(v)):
         raise KernelError(f"non-finite advection velocity ({u}, {v})")
+    _, _, jump = _check_states(ql, qr, 1)
     s = u if direction is Direction.X else v
     batch = jump.shape[1:]
     waves = jump[np.newaxis]
@@ -276,27 +249,33 @@ def _acoustics(direction: Direction, jump, zl, zr, cl, cr) -> RiemannResult:
     return RiemannResult(waves, speeds, amdq, apdq)
 
 
-def rp_acoustics_const(direction: Direction, ql, qr, params: AcousticsParams) -> RiemannResult:
-    """Constant-coefficient acoustics: two sound waves at speeds -c, +c.
+def rp_acoustics_const(direction: Direction, ql, qr, auxl=None, auxr=None, *,
+                       rho: float, bulk: float) -> RiemannResult:
+    """Constant-coefficient acoustics in a medium of density rho and bulk
+    modulus bulk: two sound waves at speeds -c, +c, c = sqrt(bulk / rho).
 
-    The shared acoustics solution with the same impedance Z and sound speed c
-    on both sides, so the strengths reduce to (-dp + Z dn) / (2 Z) and
-    (dp + Z dn) / (2 Z) (Z + Z is 2 Z exactly).
+    The shared acoustics solution with the same impedance Z = rho c and sound
+    speed c on both sides, so the strengths reduce to (-dp + Z dn) / (2 Z) and
+    (dp + Z dn) / (2 Z) (Z + Z is 2 Z exactly).  The aux slots are ignored.
     """
+    if not (rho > 0 and bulk > 0):
+        raise KernelError(f"density and bulk modulus must be positive, got {rho}, {bulk}")
     _, _, jump = _check_states(ql, qr, 3)
-    z = params.impedance
-    c = params.sound_speed
+    c = math.sqrt(bulk / rho)
+    z = rho * c
     return _acoustics(direction, jump, z, z, c, c)
 
 
-def rp_acoustics_var(direction: Direction, ql, qr, auxl, auxr) -> RiemannResult:
+def rp_acoustics_var(direction: Direction, ql, qr, auxl=None, auxr=None) -> RiemannResult:
     """Acoustics across a material jump: per-cell (rho, c) on each side.
 
     The shared acoustics solution with per-interface impedances
-    Z = rho * c and sound speeds c read from each side's aux.  Reduces bitwise
-    to the constant-coefficient solver when both sides carry the same
-    material.
+    Z = rho * c and sound speeds c read from each side's aux, which both
+    sides must carry.  Reduces bitwise to the constant-coefficient solver
+    when both sides carry the same material.
     """
+    if auxl is None or auxr is None:
+        raise ValueError("acoustics-var requires aux data on both sides")
     ql, qr, jump = _check_states(ql, qr, 3)
     auxl = np.asarray(auxl, dtype=float)
     auxr = np.asarray(auxr, dtype=float)
@@ -479,8 +458,13 @@ def _euler_roe(direction: Direction, jump, cells_l, cells_r, gamma: float) -> Ri
     return RiemannResult(waves, speeds, amdq, apdq)
 
 
-def rp_euler(direction: Direction, ql, qr, params: EulerParams,
-             auxl=None, auxr=None) -> RiemannResult:
+def _check_gamma(gamma: float):
+    if not gamma > 1.0:
+        raise KernelError(f"gamma must exceed 1, got {gamma}")
+
+
+def rp_euler(direction: Direction, ql, qr, auxl=None, auxr=None, *,
+             gamma: float = 1.4) -> RiemannResult:
     """Ideal-gas dynamics via Roe linearization, three waves, no entropy fix.
 
     Speeds are (u_hat - c_hat, u_hat, u_hat + c_hat) from the sqrt-density
@@ -491,11 +475,12 @@ def rp_euler(direction: Direction, ql, qr, params: EulerParams,
     kernel cost does not require shock admissibility.
 
     The aux slots are ignored unless both hold CellPlanes, which must be those
-    of ql and qr (from `euler_cell_planes`): the per-side work and the density
-    and pressure checks are then skipped, and the result is bitwise the same.
+    of ql and qr for this gamma (from `euler_cell_planes`): the per-side work
+    and the density and pressure checks are then skipped, and the result is
+    bitwise the same.
     """
+    _check_gamma(gamma)
     ql, qr, jump = _check_states(ql, qr, 4)
-    gamma = params.gamma
     if isinstance(auxl, CellPlanes) and isinstance(auxr, CellPlanes):
         if auxl.planes[0].shape != ql.shape[1:] or auxr.planes[0].shape != qr.shape[1:]:
             raise ValueError(
@@ -510,17 +495,17 @@ def rp_euler(direction: Direction, ql, qr, params: EulerParams,
     return _euler_roe(direction, jump, cells_l, cells_r, gamma)
 
 
-def euler_flux(q, direction: Direction, params: EulerParams) -> np.ndarray:
+def euler_flux(q, direction: Direction, gamma: float = 1.4) -> np.ndarray:
     """Physical gas-dynamics flux through a plane normal to `direction`.
 
     For X: (rho u, rho u^2 + p, rho u v, u (E + p)); Y is the mirror image.
     Used as the independent oracle for the conservation (Roe) property.
     """
+    _check_gamma(gamma)
     q = np.asarray(q, dtype=float)
     if q.ndim < 1 or q.shape[0] != 4:
         raise ValueError(f"gas state must have 4 components, got shape {q.shape}")
     _raise_first_bad("non-finite {side} state", input=~np.isfinite(q))
-    gamma = params.gamma
     ni = _normal_slot(direction)
     ti = 3 - ni
 
@@ -542,10 +527,9 @@ def euler_flux(q, direction: Direction, params: EulerParams) -> np.ndarray:
 class Kernel:
     """A kernel descriptor bound to its parameters, ready for sweeping.
 
-    `solve(direction, ql, qr, auxl, auxr)` applies the underlying pointwise
-    solver to a batch, states (num_eqn, batch...) as every solver takes
-    them.  Kernels that take no aux ignore the aux arguments, except that
-    Euler reads CellPlanes there (see `rp_euler`); a plain array is ignored.
+    `solve(direction, ql, qr, auxl, auxr)` is the descriptor's solver with
+    `params` bound (by functools.partial in make_kernel, so a bound kernel
+    pickles); what the aux slots carry is the solver's business.
     """
 
     def __init__(self, descriptor: KernelDescriptor, params: dict,
@@ -554,50 +538,16 @@ class Kernel:
         self.params = dict(params)
         self.solve = solve
 
-    @property
-    def name(self) -> str:
-        return self.descriptor.name
-
     def __repr__(self):
         args = ", ".join(f"{k}={v}" for k, v in self.params.items())
         return f"Kernel({self.descriptor.name}, {args})"
 
 
-def _bind_advection(u, v):
-    def solve(direction, ql, qr, auxl=None, auxr=None):
-        return rp_advection(direction, ql, qr, u, v)
-    return solve
-
-
-def _bind_acoustics_const(rho, bulk):
-    p = AcousticsParams(density=rho, bulk=bulk)
-
-    def solve(direction, ql, qr, auxl=None, auxr=None):
-        return rp_acoustics_const(direction, ql, qr, p)
-    return solve
-
-
-def _bind_acoustics_var():
-    def solve(direction, ql, qr, auxl=None, auxr=None):
-        if auxl is None or auxr is None:
-            raise ValueError("acoustics-var requires aux data on both sides")
-        return rp_acoustics_var(direction, ql, qr, auxl, auxr)
-    return solve
-
-
-def _bind_euler(gamma=1.4):
-    p = EulerParams(gamma=gamma)
-
-    def solve(direction, ql, qr, auxl=None, auxr=None):
-        return rp_euler(direction, ql, qr, p, auxl, auxr)
-    return solve
-
-
 DESCRIPTORS: dict[str, KernelDescriptor] = {
-    "advection": KernelDescriptor("advection", 1, 1, 0, _bind_advection),
-    "acoustics-const": KernelDescriptor("acoustics-const", 3, 2, 0, _bind_acoustics_const),
-    "acoustics-var": KernelDescriptor("acoustics-var", 3, 2, 2, _bind_acoustics_var),
-    "euler": KernelDescriptor("euler", 4, 3, 0, _bind_euler, euler_cell_planes),
+    "advection": KernelDescriptor("advection", 1, 1, 0, rp_advection),
+    "acoustics-const": KernelDescriptor("acoustics-const", 3, 2, 0, rp_acoustics_const),
+    "acoustics-var": KernelDescriptor("acoustics-var", 3, 2, 2, rp_acoustics_var),
+    "euler": KernelDescriptor("euler", 4, 3, 0, rp_euler, euler_cell_planes),
 }
 
 KERNEL_NAMES = tuple(DESCRIPTORS)
@@ -618,7 +568,8 @@ def make_kernel(name: str, **params) -> Kernel:
     The built-ins take advection(u, v), acoustics-const(rho, bulk),
     acoustics-var() which reads per-cell (rho, c) from the aux field, and
     euler(gamma=1.4).  An unknown kernel and unexpected or missing parameters
-    raise ValueError.
+    raise ValueError; a value the solver refuses (rho <= 0, say) raises from
+    the first solve.
     """
     desc = lookup_kernel(name)
     try:
@@ -627,4 +578,4 @@ def make_kernel(name: str, **params) -> Kernel:
         raise ValueError(f"bad parameters for kernel {name}: {exc}") from None
     bound.apply_defaults()
     values = {k: float(v) for k, v in bound.arguments.items()}
-    return Kernel(desc, values, desc.bind(**values))
+    return Kernel(desc, values, partial(desc.solve, **values))

@@ -332,11 +332,12 @@ def fluctuation_identity_errors(seed: int, samples: int = 10_000) -> dict[str, f
         d = _directions(rng)
 
         ql, qr = rng.normal(size=(2, 1, per))
-        record("advection", K.rp_advection(d, ql, qr, rng.uniform(-2, 2), rng.uniform(-2, 2)))
+        record("advection", K.rp_advection(d, ql, qr, u=rng.uniform(-2, 2),
+                                           v=rng.uniform(-2, 2)))
 
         ql, qr = rng.normal(size=(2, 3, per))
-        params = K.AcousticsParams(rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0))
-        record("acoustics-const", K.rp_acoustics_const(d, ql, qr, params))
+        record("acoustics-const", K.rp_acoustics_const(d, ql, qr, rho=rng.uniform(0.1, 10.0),
+                                                       bulk=rng.uniform(0.1, 10.0)))
 
         ql, qr = rng.normal(size=(2, 3, per))
         auxl = rng.uniform(0.1, 10.0, (2, per))
@@ -346,7 +347,7 @@ def fluctuation_identity_errors(seed: int, samples: int = 10_000) -> dict[str, f
         gamma = rng.uniform(1.2, 1.9)
         ql = random_gas_states(rng, per, gamma)
         qr = random_gas_states(rng, per, gamma)
-        record("euler", K.rp_euler(d, ql, qr, K.EulerParams(gamma)))
+        record("euler", K.rp_euler(d, ql, qr, gamma=gamma))
     return worst
 
 
@@ -361,17 +362,16 @@ def conservation_property_errors(seed: int, samples: int = 10_000) -> dict[str, 
 
         ql, qr = rng.normal(size=(2, 1, per))
         u, v = rng.uniform(-2, 2), rng.uniform(-2, 2)
-        res = K.rp_advection(d, ql, qr, u, v)
+        res = K.rp_advection(d, ql, qr, u=u, v=v)
         s = u if d is K.Direction.X else v
         worst["advection"] = max(worst["advection"],
                                  rel_err(res.amdq + res.apdq, s * qr - s * ql))
 
         gamma = rng.uniform(1.2, 1.9)
-        params = K.EulerParams(gamma)
         ql = random_gas_states(rng, per, gamma)
         qr = random_gas_states(rng, per, gamma)
-        res = K.rp_euler(d, ql, qr, params)
-        dflux = K.euler_flux(qr, d, params) - K.euler_flux(ql, d, params)
+        res = K.rp_euler(d, ql, qr, gamma=gamma)
+        dflux = K.euler_flux(qr, d, gamma) - K.euler_flux(ql, d, gamma)
         worst["euler"] = max(worst["euler"], rel_err(res.amdq + res.apdq, dflux))
     return worst
 
@@ -388,7 +388,7 @@ def linear_exactness_errors(seed: int, samples: int = 10_000) -> dict[str, float
         ql, qr = rng.normal(size=(2, 3, per))
         rho = rng.uniform(0.1, 10.0)
         bulk = rng.uniform(0.1, 10.0)
-        res = K.rp_acoustics_const(d, ql, qr, K.AcousticsParams(rho, bulk))
+        res = K.rp_acoustics_const(d, ql, qr, rho=rho, bulk=bulk)
         ref = linear_matrix_apply("acoustics-const", qr - ql, d, rho=rho, bulk=bulk)
         worst["acoustics-const"] = max(worst["acoustics-const"], rel_err(wave_sum(res), ref))
 

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import AuxField, FluctuationField, StateField
+from .grid import AuxField, FluctuationField, StateField, check_same_grid
 from .kernels import CellPlanes, Direction, Kernel, KernelDescriptor, KernelError
 from .parallel import Backend, ParallelError, Serial, for_each_unit, plan
 
@@ -331,12 +331,14 @@ def sweep(state: StateField, aux: AuxField | None, kernel: Kernel,
     between cells (i-1, j) and (i, j); y likewise between (i, j-1) and (i, j).
     The output is bitwise identical for every strategy and backend because
     each interface is computed exactly once from the same two cells by the
-    same elementwise kernel.  The fluctuations go into `out` when given (a
-    field of this grid; every slot is overwritten), else into a fresh field.
+    same elementwise kernel.  An aux field, and `out` when given, must be of
+    this grid.  The fluctuations go into `out` when given (every slot is
+    overwritten), else into a fresh field.
     A kernel failure raises SweepError at the first failing interface in
     row-major order, x before y within a row.
     """
     spec = state.spec
+    check_same_grid(spec, aux=aux, out=out)
     kernel.descriptor.check_components(spec.num_eqn, aux.num_comp if aux is not None else 0)
 
     nx, ny = spec.nx, spec.ny
@@ -346,8 +348,6 @@ def sweep(state: StateField, aux: AuxField | None, kernel: Kernel,
         tile_w, tile_h = strategy.tile_w, strategy.tile_h
     else:
         raise TypeError(f"unknown traversal strategy {strategy!r}")
-    if out is not None and out.spec != spec:
-        raise ValueError(f"out is a fluctuation field for {out.spec}, grid is {spec}")
     fluct = out if out is not None else FluctuationField(spec, zeroed=False)
     counter = _WriteCounter(nx, ny) if _checked() else None
     tiles_i = -(-(nx + 1) // tile_w)
@@ -391,13 +391,14 @@ def apply_update(state: StateField, fluct: FluctuationField, dt: float,
         q -= dt/dy * (apdq_y[j] + amdq_y[j+1])
 
     applied in that fixed order, so results are bitwise reproducible across
-    backends.  Each leaf's rows are updated in chunks of at most _UPDATE_CHUNK
-    cells, which bounds the temporaries without changing a value.  Mutates
-    and returns `state`.
+    backends.  `fluct` must be of the state's grid.  Each leaf's rows are
+    updated in chunks of at most _UPDATE_CHUNK cells, which bounds the
+    temporaries without changing a value.  Mutates and returns `state`.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     spec = state.spec
+    check_same_grid(spec, fluct=fluct)
     nx, ny, g = spec.nx, spec.ny, spec.num_ghost
     dtdx = dt / spec.dx
     dtdy = dt / spec.dy

@@ -101,23 +101,21 @@ class TestConfig:
 
 
 def test_a_kernel_declared_in_the_tables_runs_under_every_backend(monkeypatch):
-    # a new kernel is one descriptor, one initial-condition entry and one
-    # DEFAULT_IC entry; nothing in the sweep, scheduler or driver names it.
+    # a new kernel is one solver, one descriptor, one initial-condition entry
+    # and one DEFAULT_IC entry; nothing in the sweep, scheduler or driver names it.
     # The toy is advection at (speed, speed) with a cell pass that always
     # declines, so its runs equal the built-in advection run bit for bit.
     blocks = []
 
-    def bind(speed):
-        def solve(direction, ql, qr, auxl=None, auxr=None):
-            return rp_advection(direction, ql, qr, speed, speed)
-        return solve
+    def solve(direction, ql, qr, auxl=None, auxr=None, *, speed):
+        return rp_advection(direction, ql, qr, u=speed, v=speed)
 
     def cell_pass(q, speed):
         blocks.append(q.shape)
         return None
 
     monkeypatch.setitem(kernels.DESCRIPTORS, "toy",
-                        KernelDescriptor("toy", 1, 1, 0, bind, cell_pass))
+                        KernelDescriptor("toy", 1, 1, 0, solve, cell_pass))
     monkeypatch.setitem(driver.INITIAL_CONDITIONS, "toy-bump", driver.InitialCondition(
         "toy", {"speed": 1.0}, driver.INITIAL_CONDITIONS["advection-gaussian"].fill))
     monkeypatch.setitem(DEFAULT_IC, "toy", "toy-bump")
@@ -190,6 +188,17 @@ class TestStep:
         total = state.interior.sum()
         step(state, aux, config, TimestepController())
         assert abs(state.interior.sum() - total) <= 1e-12 * max(1.0, abs(total))
+
+    def test_state_of_another_grid_is_rejected(self):
+        config = SimulationConfig(spec=driver.unit_square_spec("advection", 16, 16),
+                                  kernel="advection", ic="advection-gaussian", num_steps=1)
+        state, aux, _ = initial_condition("advection-gaussian",
+                                          driver.unit_square_spec("advection", 8, 8))
+        before = state.data.copy()
+        with pytest.raises(ValueError, match=r"state is a field for GridSpec\(nx=8.*"
+                                             r"grid is GridSpec\(nx=16"):
+            step(state, aux, config, TimestepController())
+        assert np.array_equal(state.data, before)
 
     def test_shock_tube_keeps_y_momentum_exactly_zero(self):
         spec = gas_spec(32, 4)

@@ -141,6 +141,17 @@ def test_aux_requirement_enforced():
         sweep(state, aux, make_kernel("acoustics-var"), CellWise(), Serial())
 
 
+def test_aux_of_another_grid_is_rejected():
+    ic = "acoustics-var-interface"
+    state, _, _ = initial_condition(ic, unit_square_spec("acoustics-var", 8, 8))
+    _, aux, _ = initial_condition(ic, unit_square_spec("acoustics-var", 16, 16))
+    fill_ghost(state, PER, PER)
+    fill_ghost(aux, PER, PER)
+    with pytest.raises(ValueError,
+                       match=r"aux is a field for GridSpec\(nx=16.*grid is GridSpec\(nx=8"):
+        sweep(state, aux, make_kernel("acoustics-var"), CellWise(), Serial())
+
+
 def _sweep_error(state, aux, strategy, backend):
     with pytest.raises(SweepError) as exc:
         sweep(state, aux, make_kernel("euler"), strategy, backend)
@@ -518,6 +529,17 @@ class TestApplyUpdate:
         q -= dtdy * (fluct.y_plus[:, :, :ny] + fluct.y_minus[:, :, 1:])
         apply_update(state, fluct, dt, backend=backend)
         assert np.array_equal(state.data, expect)
+
+    @pytest.mark.parametrize("nx,ny", [(8, 12), (12, 8)])
+    def test_fluctuations_of_another_grid_are_rejected(self, nx, ny):
+        spec = GridSpec(nx=8, ny=8, dx=0.1, dy=0.1, num_eqn=1)
+        state = StateField(spec)
+        state.data[:] = 1.0
+        fluct = FluctuationField(GridSpec(nx=nx, ny=ny, dx=0.1, dy=0.1, num_eqn=1))
+        fluct.x_plus[:] = 1.0
+        with pytest.raises(ValueError, match=rf"fluct is a field for GridSpec\(nx={nx}, ny={ny}"):
+            apply_update(state, fluct, 0.01)
+        assert np.all(state.data == 1.0)
 
     def test_nonpositive_dt_rejected(self):
         spec, state = filled_gas_field(4, 4, seed=8)
