@@ -84,11 +84,12 @@ class KernelDescriptor:
     `solve` is the family's solver, solve(direction, ql, qr, auxl=None,
     auxr=None, *, <params>); its keyword-only parameters, the kernel's
     parameter list, are read once here rather than on every make_kernel call.
-    A `cell_pass`, if any, is called as cell_pass(q, **kernel.params) on a
-    block of cells: what the solver would compute for each cell on every side
-    it is read from, once, wrapped for its aux slots, or None when the block
-    fails the solver's checks.  A sweep reads it here, not from the bound
-    solve, so a Kernel rebuilt around a wrapped solve keeps its cell pass.
+    A `cell_pass`, if any, is called as cell_pass(q, aux, **kernel.params) on
+    a block of cells, `aux` the block's aux view or None: what the solver
+    would compute for each cell on every side it is read from, once, wrapped
+    for its aux slots, or None when the block fails the solver's checks.  A
+    sweep reads it here, not from the bound solve, so a Kernel rebuilt around
+    a wrapped solve keeps its cell pass.
     """
 
     name: str
@@ -214,6 +215,37 @@ def rp_advection(direction: Direction, ql, qr, auxl=None, auxr=None, *,
     return RiemannResult(waves, speeds, amdq, apdq)
 
 
+@dataclass(frozen=True)
+class CellPlanes:
+    """What a solver computes once per cell, for a block of admissible cells.
+
+    `planes` holds batch-shaped arrays, one per per-cell quantity the solver
+    reads on each side of an interface: for Euler, sqrt(rho), sqrt(rho) u,
+    sqrt(rho) v and sqrt(rho) H with H = (E + p) / rho, in x/y (not
+    normal/transverse) order; for acoustics-var, the impedance Z = rho c and
+    the sound speed c.  Only a kernel's cell pass (`euler_cell_planes`,
+    `acoustics_cell_planes`) makes them, after checking every cell of the
+    block as the solver would; indexing keeps that guarantee, so
+    `cells[i0:i1, j0:j1]` is the CellPlanes of those cells.  Passed in the
+    solver's aux slots, they stand in for its per-side work and its checks.
+    A plane may be a view of the aux field it came from.
+    """
+
+    planes: tuple[np.ndarray, ...]
+
+    def __getitem__(self, batch_index) -> CellPlanes:
+        return CellPlanes(tuple(plane[batch_index] for plane in self.planes))
+
+
+def _check_cover(auxl: CellPlanes, auxr: CellPlanes, ql: np.ndarray, qr: np.ndarray):
+    """ValueError unless each side's planes cover its states' batch."""
+    if auxl.planes[0].shape != ql.shape[1:] or auxr.planes[0].shape != qr.shape[1:]:
+        raise ValueError(
+            f"cell planes must cover the states' batch {ql.shape[1:]}, "
+            f"got {auxl.planes[0].shape} and {auxr.planes[0].shape}"
+        )
+
+
 def _acoustics(direction: Direction, jump, zl, zr, cl, cr) -> RiemannResult:
     """The acoustic Riemann solution shared by both acoustics solvers.
 
@@ -242,9 +274,9 @@ def _acoustics(direction: Direction, jump, zl, zr, cl, cr) -> RiemannResult:
     np.multiply(-zl, a1, out=waves[0, 0])
     np.multiply(zr, a2, out=waves[1, 0])
     speeds = _result_array((2,), dp)
-    speeds[0] = -cl
+    np.negative(cl, out=speeds[0])
     speeds[1] = cr
-    amdq = -cl * waves[0]
+    amdq = speeds[0] * waves[0]  # -c_l exactly, negation being exact
     apdq = cr * waves[1]
     return RiemannResult(waves, speeds, amdq, apdq)
 
@@ -258,8 +290,9 @@ def rp_acoustics_const(direction: Direction, ql, qr, auxl=None, auxr=None, *,
     speed c on both sides, so the strengths reduce to (-dp + Z dn) / (2 Z) and
     (dp + Z dn) / (2 Z) (Z + Z is 2 Z exactly).  The aux slots are ignored.
     """
-    if not (rho > 0 and bulk > 0):
-        raise KernelError(f"density and bulk modulus must be positive, got {rho}, {bulk}")
+    if not (0.0 < rho < math.inf and 0.0 < bulk < math.inf):
+        raise KernelError(f"density and bulk modulus must be positive and finite, "
+                          f"got {rho}, {bulk}")
     _, _, jump = _check_states(ql, qr, 3)
     c = math.sqrt(bulk / rho)
     z = rho * c
@@ -273,10 +306,19 @@ def rp_acoustics_var(direction: Direction, ql, qr, auxl=None, auxr=None) -> Riem
     Z = rho * c and sound speeds c read from each side's aux, which both
     sides must carry.  Reduces bitwise to the constant-coefficient solver
     when both sides carry the same material.
+
+    Both aux slots may instead hold CellPlanes, which must be those of the
+    sides' aux (from `acoustics_cell_planes`): the per-side products and the
+    density and sound-speed checks are then skipped, and the result is
+    bitwise the same.
     """
     if auxl is None or auxr is None:
         raise ValueError("acoustics-var requires aux data on both sides")
     ql, qr, jump = _check_states(ql, qr, 3)
+    if isinstance(auxl, CellPlanes) and isinstance(auxr, CellPlanes):
+        _check_cover(auxl, auxr, ql, qr)
+        (zl, cl), (zr, cr) = auxl.planes, auxr.planes
+        return _acoustics(direction, jump, zl, zr, cl, cr)
     auxl = np.asarray(auxl, dtype=float)
     auxr = np.asarray(auxr, dtype=float)
     if auxl.shape != ql[:2].shape or auxr.shape != qr[:2].shape:
@@ -289,24 +331,24 @@ def rp_acoustics_var(direction: Direction, ql, qr, auxl=None, auxr=None) -> Riem
                       auxl[1], auxr[1])
 
 
-@dataclass(frozen=True)
-class CellPlanes:
-    """Per-cell Roe inputs of a block of gas states, every cell admissible.
+def acoustics_cell_planes(q, aux) -> CellPlanes | None:
+    """The CellPlanes (Z, c) of a block's aux (rho, c), (2, batch...), or
+    None if any cell's density or sound speed is not above the floor.
 
-    `planes` holds four batch-shaped arrays: sqrt(rho), sqrt(rho) u,
-    sqrt(rho) v and sqrt(rho) H with H = (E + p) / rho, in x/y (not
-    normal/transverse) order.  Only `euler_cell_planes` makes them from
-    states, after checking that every cell is finite with density and
-    pressure above the floor; indexing keeps that guarantee, so
-    `cells[i0:i1, j0:j1]` is the CellPlanes of those cells.  Passed in
-    `rp_euler`'s aux slots, they stand in for its per-side work and its
-    density and pressure checks.
+    Guard only, one reduction each for density and sound speed: a block that
+    passes gets Z = rho * c, the product `rp_acoustics_var` forms per side,
+    so the bits are the same, and c as a view of aux; any other gets None,
+    and its caller solves without planes so that `rp_acoustics_var` locates
+    the failure.  The states `q` are not read.
     """
-
-    planes: tuple[np.ndarray, ...]
-
-    def __getitem__(self, batch_index) -> CellPlanes:
-        return CellPlanes(tuple(plane[batch_index] for plane in self.planes))
+    aux = np.asarray(aux, dtype=float)
+    if aux.ndim < 2 or aux.shape[0] != 2:
+        raise ValueError(f"acoustics aux must have shape (2, batch...), got {aux.shape}")
+    rho, c = aux
+    if not (np.min(rho, initial=np.inf) > ADMISSIBILITY_FLOOR
+            and np.min(c, initial=np.inf) > ADMISSIBILITY_FLOOR):
+        return None
+    return CellPlanes((rho * c, c))
 
 
 def _euler_cells(q: np.ndarray, gamma: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -343,7 +385,7 @@ def _euler_cells(q: np.ndarray, gamma: float) -> tuple[np.ndarray, tuple[np.ndar
     return p, (sq, u, v, h)
 
 
-def euler_cell_planes(q, gamma: float) -> CellPlanes | None:
+def euler_cell_planes(q, aux=None, *, gamma: float) -> CellPlanes | None:
     """The CellPlanes of gas states q, (4, batch...), or None if any cell fails.
 
     Guard only, one reduction each for density, pressure and finiteness: a
@@ -351,7 +393,7 @@ def euler_cell_planes(q, gamma: float) -> CellPlanes | None:
     finite gets its planes; any other gets None, and its caller solves without
     planes so that `rp_euler` locates the failure.  With the density above the
     floor, a finite pressure means a finite cell: an infinite or NaN density,
-    momentum or energy makes the pressure infinite or NaN.
+    momentum or energy makes the pressure infinite or NaN.  `aux` is not read.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim < 2 or q.shape[0] != 4:
@@ -459,8 +501,8 @@ def _euler_roe(direction: Direction, jump, cells_l, cells_r, gamma: float) -> Ri
 
 
 def _check_gamma(gamma: float):
-    if not gamma > 1.0:
-        raise KernelError(f"gamma must exceed 1, got {gamma}")
+    if not 1.0 < gamma < math.inf:
+        raise KernelError(f"gamma must exceed 1 and be finite, got {gamma}")
 
 
 def rp_euler(direction: Direction, ql, qr, auxl=None, auxr=None, *,
@@ -482,11 +524,7 @@ def rp_euler(direction: Direction, ql, qr, auxl=None, auxr=None, *,
     _check_gamma(gamma)
     ql, qr, jump = _check_states(ql, qr, 4)
     if isinstance(auxl, CellPlanes) and isinstance(auxr, CellPlanes):
-        if auxl.planes[0].shape != ql.shape[1:] or auxr.planes[0].shape != qr.shape[1:]:
-            raise ValueError(
-                f"cell planes must cover the states' batch {ql.shape[1:]}, "
-                f"got {auxl.planes[0].shape} and {auxr.planes[0].shape}"
-            )
+        _check_cover(auxl, auxr, ql, qr)
         return _euler_roe(direction, jump, auxl.planes, auxr.planes, gamma)
     _check_positive("density", left=ql[0], right=qr[0])
     p_l, cells_l = _euler_cells(ql, gamma)
@@ -546,7 +584,8 @@ class Kernel:
 DESCRIPTORS: dict[str, KernelDescriptor] = {
     "advection": KernelDescriptor("advection", 1, 1, 0, rp_advection),
     "acoustics-const": KernelDescriptor("acoustics-const", 3, 2, 0, rp_acoustics_const),
-    "acoustics-var": KernelDescriptor("acoustics-var", 3, 2, 2, rp_acoustics_var),
+    "acoustics-var": KernelDescriptor("acoustics-var", 3, 2, 2, rp_acoustics_var,
+                                      acoustics_cell_planes),
     "euler": KernelDescriptor("euler", 4, 3, 0, rp_euler, euler_cell_planes),
 }
 

@@ -28,13 +28,15 @@ fluctuations are bitwise the same either way.
 
 Every kernel takes both directions per row block, x then y, with as many rows
 per block as the x-rows, the widest, fit in one call.  A kernel with a cell
-pass (its descriptor's cell_pass, today Euler's) also computes each cell once
-per block: the pass covers the cells the block's x- and y-calls read, plus one
-halo column and row, and hands them to both calls in the aux slots.  It is
-guarded by one reduction each for density, pressure and finiteness; a block
-that trips the guard is solved by the plain calls, which compute the same
-bits.  The planes are block-sized temporaries, so memory stays flat.  Each
-leaf returns its max speeds, and the sweep folds them into SweepStats.
+pass (its descriptor's cell_pass: Euler's Roe inputs, acoustics-var's
+impedance and sound speed) also computes each cell once per block: the pass
+covers the cells the block's x- and y-calls read, plus one halo column and
+row, and hands them to both calls in the aux slots.  It is guarded by one
+reduction per check the solver makes on a cell (Euler's density, pressure and
+finiteness, acoustics-var's density and sound speed); a block that trips the
+guard is solved by the plain calls, which compute the same bits.  The planes
+are block-sized temporaries, so memory stays flat.  Each leaf returns its max
+speeds, and the sweep folds them into SweepStats.
 
 Where a kernel failure is reported does not depend on the traversal.  The
 region stops at the first failing leaf; the sweep then solves the grid once
@@ -42,7 +44,8 @@ more without planes, row by row (j = 0 .. ny), x-interfaces then
 y-interfaces, and raises SweepError at the first interface that fails.  So
 every strategy and backend names the first failing interface in row-major
 order, x before y within a row.  If that pass does not fail, the region's
-ParallelError is raised unchanged.
+ParallelError is raised unchanged.  A KernelError that names no interface, a
+refused kernel parameter say, is raised as it is, with no location pass.
 """
 
 from __future__ import annotations
@@ -253,8 +256,12 @@ class _SweepContext:
         step = max(1, self.block // (ib - ia))
         for a in range(ja, jb, step):
             b = min(a + step, jb)
-            cells = None if self.cell_pass is None else self.cell_pass(
-                self.q[:, g + ia - 1 : g + ib, g + a - 1 : g + b], **self.kernel.params)
+            cells = None
+            if self.cell_pass is not None:
+                window = (slice(None), slice(g + ia - 1, g + ib), slice(g + a - 1, g + b))
+                cells = self.cell_pass(self.q[window],
+                                       None if self.aux is None else self.aux[window],
+                                       **self.kernel.params)
             for d, ie, je in spans:
                 bj = min(b, je)
                 if ia < ie and a < bj:
@@ -335,7 +342,8 @@ def sweep(state: StateField, aux: AuxField | None, kernel: Kernel,
     this grid.  The fluctuations go into `out` when given (every slot is
     overwritten), else into a fresh field.
     A kernel failure raises SweepError at the first failing interface in
-    row-major order, x before y within a row.
+    row-major order, x before y within a row; a KernelError that names no
+    interface, such as a refused kernel parameter, is raised as it is.
     """
     spec = state.spec
     check_same_grid(spec, aux=aux, out=out)
@@ -368,7 +376,10 @@ def sweep(state: StateField, aux: AuxField | None, kernel: Kernel,
     try:
         leaf_speeds = for_each_unit(tiles_i * tiles_j, backend, tile_run, align=tiles_i)
     except ParallelError as exc:
-        if isinstance(exc.__cause__, KernelError):
+        cause = exc.__cause__
+        if isinstance(cause, KernelError):
+            if cause.element is None:  # a parameter error names no interface
+                raise cause from None
             ctx.locate()  # raises SweepError if the plain calls fail too
         raise
 

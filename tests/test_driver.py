@@ -110,7 +110,7 @@ def test_a_kernel_declared_in_the_tables_runs_under_every_backend(monkeypatch):
     def solve(direction, ql, qr, auxl=None, auxr=None, *, speed):
         return rp_advection(direction, ql, qr, u=speed, v=speed)
 
-    def cell_pass(q, speed):
+    def cell_pass(q, aux, speed):
         blocks.append(q.shape)
         return None
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from wavesweep.driver import (INITIAL_CONDITIONS, SimulationConfig, resolve_kernel,
                               unit_square_spec)
 from wavesweep.kernels import (DESCRIPTORS, CellPlanes, Direction, KernelError,
-                               euler_cell_planes, euler_flux, make_kernel,
+                               acoustics_cell_planes, euler_cell_planes, euler_flux, make_kernel,
                                rp_acoustics_const, rp_acoustics_var, rp_advection,
                                rp_euler)
 from wavesweep.oracles import (linear_matrix_apply, random_gas_states, rel_err,
@@ -122,6 +122,12 @@ class TestAcousticsConst:
         with pytest.raises(KernelError, match="positive"):
             kernel.solve(Direction.X, q, q)
 
+    @pytest.mark.parametrize("rho,bulk", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
+    def test_non_finite_params_rejected(self, rho, bulk):
+        # an infinite modulus would give infinite speeds and NaN fluctuations
+        with pytest.raises(KernelError, match="finite"):
+            rp_acoustics_const(Direction.X, [[0.0]] * 3, [[1.0]] * 3, rho=rho, bulk=bulk)
+
 
 class TestAcousticsVar:
     def test_impedance_mismatch_example(self):
@@ -162,6 +168,20 @@ class TestAcousticsVar:
             ref = linear_matrix_apply("acoustics-var", qr - ql, direction,
                                       aux_l=(rho_l, c_l), aux_r=(rho_r, c_r))
             assert rel_err(wave_sum(res), ref) <= 1e-12
+
+    @pytest.mark.parametrize("comp,value", [(0, -1.0), (0, 0.0), (0, np.nan),
+                                            (1, 0.0), (1, -np.inf), (1, np.nan)])
+    def test_cell_pass_refuses_any_nonpositive_material(self, comp, value):
+        # a nonpositive or NaN density or sound speed: no planes, and no warning;
+        # admissible aux gets Z = rho c and c itself, as a view
+        aux = np.random.default_rng(16).uniform(0.5, 2.0, (2, 3, 4))
+        cells = acoustics_cell_planes(None, aux)
+        assert _bits(cells.planes[0]) == _bits(aux[0] * aux[1])
+        assert np.shares_memory(cells.planes[1], aux)
+        aux[comp, 2, 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert acoustics_cell_planes(None, aux) is None
 
     def test_nonpositive_material_rejected(self):
         ql, qr = [[0.0]] * 3, [[1.0], [0.0], [0.0]]
@@ -266,6 +286,12 @@ class TestEuler:
         with pytest.raises(KernelError, match="gamma"):
             euler_flux(SOD_L, Direction.X, 1.0)
 
+    def test_gamma_must_be_finite(self):
+        with pytest.raises(KernelError, match="finite"):
+            rp_euler(Direction.X, self.QL, self.QR, gamma=math.inf)
+        with pytest.raises(KernelError, match="finite"):
+            euler_flux(SOD_L, Direction.X, math.inf)
+
 
 class TestEulerFlux:
     def test_stationary_state_flux_is_pressure_only(self):
@@ -338,8 +364,8 @@ class TestBatchesOnly:
 
     def test_cell_pass_rejects_state_without_batch_axis(self):
         with pytest.raises(ValueError, match=r"\(4, batch\.\.\.\)"):
-            euler_cell_planes(SOD_L, 1.4)
-        assert isinstance(euler_cell_planes(SOD_L[:, None], 1.4), CellPlanes)
+            euler_cell_planes(SOD_L, gamma=1.4)
+        assert isinstance(euler_cell_planes(SOD_L[:, None], gamma=1.4), CellPlanes)
 
 
 def _layouts(arr: np.ndarray) -> dict:
@@ -405,23 +431,23 @@ class TestEulerCellPlanes:
         left = (slice(1 - di, 1 - di + w), slice(1 - dj, 1 - dj + h))
         right = (slice(1, 1 + w), slice(1, 1 + h))
         for field in _layouts(q).values():
-            cells = euler_cell_planes(field, 1.4)
+            cells = euler_cell_planes(field, gamma=1.4)
             ql, qr = field[(slice(None),) + left], field[(slice(None),) + right]
             plain = rp_euler(direction, ql, qr)
             self._assert_same_bits(rp_euler(direction, ql, qr, cells[left], cells[right]),
                                    plain)
             # through the bound kernel, and with planes made from the batches themselves
             self._assert_same_bits(make_kernel("euler").solve(
-                direction, ql, qr, euler_cell_planes(ql, 1.4), euler_cell_planes(qr, 1.4)),
-                plain)
+                direction, ql, qr, euler_cell_planes(ql, gamma=1.4),
+                euler_cell_planes(qr, gamma=1.4)), plain)
 
         # one interface, as a batch of one, and an empty batch
         ql, qr = np.split(random_gas_states(rng, 2, 1.4), 2, axis=1)
-        self._assert_same_bits(rp_euler(direction, ql, qr, euler_cell_planes(ql, 1.4),
-                                        euler_cell_planes(qr, 1.4)),
+        self._assert_same_bits(rp_euler(direction, ql, qr, euler_cell_planes(ql, gamma=1.4),
+                                        euler_cell_planes(qr, gamma=1.4)),
                                rp_euler(direction, ql, qr))
         empty = np.empty((4, 0))
-        cells = euler_cell_planes(empty, 1.4)
+        cells = euler_cell_planes(empty, gamma=1.4)
         self._assert_same_bits(rp_euler(direction, empty, empty, cells, cells),
                                rp_euler(direction, empty, empty))
 
@@ -432,17 +458,20 @@ class TestEulerCellPlanes:
         # a nonpositive or non-finite density, a non-finite momentum or energy,
         # and an energy that leaves no pressure: no planes, and no warning
         q = random_gas_states(np.random.default_rng(16), 12, 1.4).reshape(4, 3, 4)
-        assert isinstance(euler_cell_planes(q, 1.4), CellPlanes)
+        assert isinstance(euler_cell_planes(q, gamma=1.4), CellPlanes)
         q[comp, 2, 1] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert euler_cell_planes(q, 1.4) is None
+            assert euler_cell_planes(q, gamma=1.4) is None
 
     def test_planes_must_cover_the_batch(self):
         q = random_gas_states(np.random.default_rng(17), 8, 1.4)
-        cells = euler_cell_planes(q, 1.4)
+        cells = euler_cell_planes(q, gamma=1.4)
         with pytest.raises(ValueError, match="cell planes"):
             rp_euler(Direction.X, q[:, :4], q[:, 4:], cells, cells[4:])
+        cells = acoustics_cell_planes(q[:3], np.ones((2, 8)))
+        with pytest.raises(ValueError, match="cell planes"):
+            rp_acoustics_var(Direction.X, q[:3, :4], q[:3, 4:], cells, cells[4:])
 
 
 class TestGuardThenScan:
@@ -539,8 +568,8 @@ def _golden_case(name: str, direction: Direction, case: str):
     `case` is "single" (one interface, as a batch of one), "batch" (a 1-D
     batch of 7) or
     "planar" (an 8 x 6 block cut, as a sweep cuts it, from a
-    component-planar 11 x 9 field); a "+planes" suffix hands Euler the
-    CellPlanes of both sides in the aux slots.
+    component-planar 11 x 9 field); a "+planes" suffix hands the kernel the
+    CellPlanes of both sides, from its cell pass, in the aux slots.
     """
     rng = np.random.default_rng(20)
     neqn = DESCRIPTORS[name].num_eqn
@@ -562,7 +591,8 @@ def _golden_case(name: str, direction: Direction, case: str):
     ql, qr = q[(slice(None),) + left], q[(slice(None),) + right]
     auxl, auxr = aux[(slice(None),) + left], aux[(slice(None),) + right]
     if planes:
-        cells = euler_cell_planes(q, 1.4)
+        kernel = make_kernel(name, **KERNEL_PARAMS[name])
+        cells = kernel.descriptor.cell_pass(q, aux, **kernel.params)
         auxl, auxr = cells[left], cells[right]
     return ql, qr, auxl, auxr
 
@@ -588,6 +618,12 @@ GOLDEN = {
     "acoustics-var/y/single": "c0dcb31ec4ae 5d6a17793a12 fe73fa188854 0c509d62604c",
     "acoustics-var/y/batch": "0130dc8134c8 6d0b0bb4c218 dd71e3269907 13aad34b3fed",
     "acoustics-var/y/planar": "416b04a0f7fc fece08fe4720 4bae2ac85cd0 95905384cb2c",
+    "acoustics-var/x/single+planes": "ffa5fb4be33f 5d6a17793a12 f4994aa232d2 48f57d5ba476",
+    "acoustics-var/x/batch+planes": "4cabc362b20d 6d0b0bb4c218 87a2ab5f1e8f b833593af804",
+    "acoustics-var/x/planar+planes": "ed66127d8e27 c0367233537c 244499e64bc7 caf1560d3fa2",
+    "acoustics-var/y/single+planes": "c0dcb31ec4ae 5d6a17793a12 fe73fa188854 0c509d62604c",
+    "acoustics-var/y/batch+planes": "0130dc8134c8 6d0b0bb4c218 dd71e3269907 13aad34b3fed",
+    "acoustics-var/y/planar+planes": "416b04a0f7fc fece08fe4720 4bae2ac85cd0 95905384cb2c",
     "euler/x/single": "92a23521d64d de268e19c51f f31bfe84522d fed069a69899",
     "euler/x/batch": "3538a1a603ba 92ea00e44ff7 6055bb414898 8dd3627b3e30",
     "euler/x/planar": "ebddb51cdfc7 07f535c91e86 2efd95c61a84 d862ba631678",
@@ -664,7 +700,7 @@ def test_cell_planes_are_fresh_and_states_untouched(shape):
         .reshape((4,) + shape)
     q = _layouts(q)["planar"] if len(shape) == 2 else q
     before = _bits(q)
-    first, second = (euler_cell_planes(q, 1.4) for _ in range(2))
+    first, second = (euler_cell_planes(q, gamma=1.4) for _ in range(2))
     assert _bits(q) == before
     for plane in second.planes:
         assert not np.shares_memory(plane, q)

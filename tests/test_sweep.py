@@ -421,48 +421,70 @@ def test_multi_thread_call_size(monkeypatch, name, nx, ny, rows):
 def test_cell_pass_falls_back_to_plain_calls(monkeypatch, backend):
     # the cell pass covers each block's cells plus one halo column and row, so
     # it reads the ghost corners (-1, -1) and (nx, ny), which no interface
-    # reads: a negative density there trips its guard, and those blocks are
-    # solved without planes, to the same bits, each slot written once.  On
-    # 100x100 one thread makes two blocks of 84 and 17 rows, so (nx, ny) trips
-    # after a block's calls have already written.  A KernelError raised only
-    # with planes is one the plain location pass cannot reproduce, so it
-    # surfaces unlocated, as the region's ParallelError.
+    # reads: a negative density there, in Euler's state or in acoustics-var's
+    # aux, trips its guard, and those blocks are solved without planes, to the
+    # same bits, each slot written once.  On 100x100 one thread makes Euler
+    # two blocks of 84 and 17 rows, so (nx, ny) trips after a block's calls
+    # have already written.  A KernelError raised only with planes is one the
+    # plain location pass cannot reproduce, so it surfaces unlocated, as the
+    # region's ParallelError.
     monkeypatch.setenv("WAVESWEEP_CHECKED", "1")
-    spec, state = filled_gas_field(100, 100, seed=18)
-    aux = AuxField(spec)
-    kernel = make_kernel("euler")
+    for name in ("euler", "acoustics-var"):
+        if name == "euler":
+            spec, state = filled_gas_field(100, 100, seed=18)
+            aux = AuxField(spec)
+        else:
+            state, aux, _ = initial_condition("acoustics-var-interface",
+                                              unit_square_spec(name, 100, 100))
+            spec = state.spec
+            fill_ghost(state, PER, PER)
+            fill_ghost(aux, PER, PER)
+        kernel = make_kernel(name)
 
-    def planes_per_call(state, refuse_planes=False):
-        with_planes = []
+        def planes_per_call(state, aux, refuse_planes=False):
+            with_planes = []
 
-        def solve(d, ql, qr, auxl, auxr):
-            with_planes.append(isinstance(auxl, CellPlanes))
-            if refuse_planes and with_planes[-1] and d is Direction.Y:
-                raise KernelError("refused", element=(0, 0))
-            return kernel.solve(d, ql, qr, auxl, auxr)
+            def solve(d, ql, qr, auxl, auxr):
+                with_planes.append(isinstance(auxl, CellPlanes))
+                if refuse_planes and with_planes[-1] and d is Direction.Y:
+                    raise KernelError("refused", element=(0, 0))
+                return kernel.solve(d, ql, qr, auxl, auxr)
 
-        out = sweep(state, aux, Kernel(kernel.descriptor, kernel.params, solve),
-                    CellWise(), backend)
-        return out, with_planes
+            out = sweep(state, aux, Kernel(kernel.descriptor, kernel.params, solve),
+                        CellWise(), backend)
+            return out, with_planes
 
-    (ref, ref_stats), calls = planes_per_call(state)
-    assert all(calls)
-    g = spec.num_ghost
-    cases = []
-    for corner in ((-1, -1), (spec.nx, spec.ny)):
-        bad = state.copy()
-        bad.data[0, g + corner[0], g + corner[1]] = -1.0
-        cases.append(planes_per_call(bad))
-    for (out, stats), calls in cases:
-        assert not all(calls)
-        for a, b in ((ref.x_minus, out.x_minus), (ref.x_plus, out.x_plus),
-                     (ref.y_minus, out.y_minus), (ref.y_plus, out.y_plus)):
-            assert np.array_equal(a, b)
-        assert stats == ref_stats
-    with pytest.raises(ParallelError) as exc:
-        planes_per_call(state, refuse_planes=True)
-    assert isinstance(exc.value.__cause__, KernelError)
-    assert str(exc.value.__cause__) == "refused"
+        (ref, ref_stats), calls = planes_per_call(state, aux)
+        assert all(calls)
+        g = spec.num_ghost
+        cases = []
+        for corner in ((-1, -1), (spec.nx, spec.ny)):
+            bad_state, bad_aux = state.copy(), aux.copy()
+            bad = bad_state if name == "euler" else bad_aux
+            bad.data[0, g + corner[0], g + corner[1]] = -1.0
+            cases.append(planes_per_call(bad_state, bad_aux))
+        for (out, stats), calls in cases:
+            assert not all(calls)
+            for a, b in ((ref.x_minus, out.x_minus), (ref.x_plus, out.x_plus),
+                         (ref.y_minus, out.y_minus), (ref.y_plus, out.y_plus)):
+                assert np.array_equal(a, b)
+            assert stats == ref_stats
+        with pytest.raises(ParallelError) as exc:
+            planes_per_call(state, aux, refuse_planes=True)
+        assert isinstance(exc.value.__cause__, KernelError)
+        assert str(exc.value.__cause__) == "refused"
+
+
+@pytest.mark.parametrize("backend", [Serial(), WorkStealing(2)])
+def test_parameter_error_is_not_an_interface_failure(backend):
+    # a refused parameter fails every call alike, so it names no interface:
+    # the sweep raises the kernel's own error rather than a located SweepError
+    state, aux, _ = initial_condition("acoustics-pulse",
+                                      unit_square_spec("acoustics-const", 8, 8))
+    fill_ghost(state, PER, PER)
+    with pytest.raises(KernelError, match="density and bulk modulus") as exc:
+        sweep(state, aux, make_kernel("acoustics-const", rho=0.0, bulk=1.0), CellWise(), backend)
+    assert exc.value.element is None
 
 
 class TestApplyUpdate:
