@@ -71,6 +71,9 @@ class BenchConfig:
         TimestepController(self.cfl)
         for name in self.backends:
             make_backend(name, 1)
+        if self.grain is not None and "workstealing" not in self.backends:
+            raise ValueError(f"grain applies only to the workstealing backend, "
+                             f"not {', '.join(self.backends)}")
         for t in self.threads:  # every count and the grain, whichever backends run them
             WorkStealing(t, self.grain)
         for kernel in self.kernels:

@@ -88,7 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--tile", default="64x64", help="tile size WxH for tiled")
     bench_p.add_argument("--backend", default=",".join(BACKEND_NAMES),
                          help="comma list of serial,static,workstealing")
-    bench_p.add_argument("--grain", type=int, default=None)
+    bench_p.add_argument("--grain", type=int, default=None,
+                         help="workstealing leaf size in units, as for run --grain; "
+                              "needs workstealing among --backend")
     bench_p.add_argument("--cfl", type=float, default=0.9)
     bench_p.add_argument("--out", default=None, help="CSV output file (default stdout)")
 

@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import (AuxField, BoundaryCondition, FluctuationField, GridSpec, StateField,
-                   check_ghost_frame, check_same_grid, fill_ghost)
+                   check_same_grid, fill_ghost)
 from .kernels import Kernel, lookup_kernel, make_kernel
 from .parallel import Backend, Serial
 from .sweep import CellWise, Strategy, SweepError, apply_update, sweep
@@ -57,8 +57,8 @@ def choose_dt(max_sx: float, max_sy: float, dx: float, dy: float,
 class SimulationConfig:
     """One complete simulation setup.  Exactly one of t_final/num_steps; the
     ic names an INITIAL_CONDITIONS entry declared for this kernel; the grid
-    carries the kernel's components; a periodic axis is at least the ghost
-    frame deep."""
+    carries the kernel's components.  Any grid of at least one cell per axis
+    runs under either boundary condition."""
 
     spec: GridSpec
     kernel: str
@@ -84,7 +84,6 @@ class SimulationConfig:
             raise ValueError(f"t_final must be finite and >= 0, got {self.t_final}")
         if self.num_steps is not None and self.num_steps < 0:
             raise ValueError(f"num_steps must be >= 0, got {self.num_steps}")
-        check_ghost_frame(self.spec, self.bc_x, self.bc_y)
 
 
 @dataclass

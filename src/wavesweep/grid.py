@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -22,18 +23,20 @@ class GridSpec:
 
     nx, ny    interior cell counts
     dx, dy    cell widths
-    num_ghost ghost layers per side (2 by default, enough for future
-              higher-order stencils even though the donor-cell update
-              only needs 1)
     num_eqn   conserved components per cell
     num_aux   auxiliary (material) components per cell, 0 allowed
+
+    One ghost layer per side (`num_ghost`, a constant): the first-order
+    donor-cell sweep, cell passes and update read only the cells next to an
+    interface, so nothing beyond ghost layer 1.
     """
+
+    num_ghost: ClassVar[int] = 1
 
     nx: int
     ny: int
     dx: float
     dy: float
-    num_ghost: int = 2
     num_eqn: int = 1
     num_aux: int = 0
 
@@ -42,8 +45,6 @@ class GridSpec:
             raise ValueError(f"cell counts must be >= 1, got nx={self.nx}, ny={self.ny}")
         if not (self.dx > 0 and self.dy > 0):
             raise ValueError(f"cell widths must be > 0, got dx={self.dx}, dy={self.dy}")
-        if self.num_ghost < 1:
-            raise ValueError(f"num_ghost must be >= 1, got {self.num_ghost}")
         if self.num_eqn < 1:
             raise ValueError(f"num_eqn must be >= 1, got {self.num_eqn}")
         if self.num_aux < 0:
@@ -163,30 +164,13 @@ def check_same_grid(spec: GridSpec, **fields):
             raise ValueError(f"{name} is a field for {fld.spec}, grid is {spec}")
 
 
-def check_ghost_frame(spec: GridSpec, bc_x: BoundaryCondition, bc_y: BoundaryCondition):
-    """Raise ValueError if a periodic axis has fewer interior cells than the
-    ghost frame is deep: its ghost fill wraps num_ghost interior cells."""
-    for name, n, bc in (("nx", spec.nx, bc_x), ("ny", spec.ny, bc_y)):
-        if bc is BoundaryCondition.PERIODIC and n < spec.num_ghost:
-            raise ValueError(f"a periodic axis needs at least num_ghost={spec.num_ghost} "
-                             f"interior cells (the ghost frame), got {name}={n}")
-
-
-def _fill_axis(data: np.ndarray, n: int, g: int, bc: BoundaryCondition, axis: int):
-    # data has ghost offset g along `axis`; low ghosts [0, g), high [g+n, g+n+g)
-    sl = [slice(None)] * data.ndim
-
-    def span(a, b):
-        s = list(sl)
-        s[axis] = slice(a, b)
-        return tuple(s)
-
+def _fill_axis(data: np.ndarray, n: int, bc: BoundaryCondition, axis: int):
+    # along `axis`: low ghost 0, interior 1..n, high ghost n + 1
+    d = np.moveaxis(data, axis, 0)
     if bc is BoundaryCondition.PERIODIC:
-        data[span(0, g)] = data[span(n, n + g)]
-        data[span(g + n, g + n + g)] = data[span(g, g + g)]
+        d[0], d[n + 1] = d[n], d[1]
     elif bc is BoundaryCondition.EXTRAPOLATE:
-        data[span(0, g)] = data[span(g, g + 1)]
-        data[span(g + n, g + n + g)] = data[span(g + n - 1, g + n)]
+        d[0], d[n + 1] = d[1], d[n]
     else:
         raise ValueError(f"unknown boundary condition {bc!r}")
 
@@ -194,17 +178,16 @@ def _fill_axis(data: np.ndarray, n: int, g: int, bc: BoundaryCondition, axis: in
 def fill_ghost(field, bc_x: BoundaryCondition, bc_y: BoundaryCondition):
     """Fill the ghost frame of a state or aux field from its interior.
 
-    Periodic wraps (ghost column -k copies interior column nx-k), extrapolate
-    copies the nearest interior cell.  The x pass runs first over the full
-    y extent, then the y pass over the full x extent, so corners end up
-    consistent for dimension-split stencils.  Interior cells are never
-    modified.  A periodic axis shorter than the ghost frame raises ValueError
-    (check_ghost_frame).  Returns the field.
+    Periodic wraps (ghost column -1 copies interior column nx-1, ghost column
+    nx copies column 0; one cell wraps onto itself), extrapolate copies the
+    nearest interior cell.  The x pass runs first over the full y extent,
+    then the y pass over the full x extent, so corners end up consistent for
+    dimension-split stencils.  Interior cells are never modified.  Returns
+    the field.
     """
     spec = field.spec
     if field.num_comp == 0:
         return field
-    check_ghost_frame(spec, bc_x, bc_y)
-    _fill_axis(field.data, spec.nx, spec.num_ghost, bc_x, axis=1)
-    _fill_axis(field.data, spec.ny, spec.num_ghost, bc_y, axis=2)
+    _fill_axis(field.data, spec.nx, bc_x, axis=1)
+    _fill_axis(field.data, spec.ny, bc_y, axis=2)
     return field

@@ -304,8 +304,10 @@ def rp_acoustics_var(direction: Direction, ql, qr, auxl=None, auxr=None) -> Riem
 
     The shared acoustics solution with per-interface impedances
     Z = rho * c and sound speeds c read from each side's aux, which both
-    sides must carry.  Reduces bitwise to the constant-coefficient solver
-    when both sides carry the same material.
+    sides must carry.  A density or sound speed not above the floor, or a
+    non-finite density, sound speed or impedance (rho c may overflow), raises
+    a located KernelError.  Reduces bitwise to the constant-coefficient
+    solver when both sides carry the same material.
 
     Both aux slots may instead hold CellPlanes, which must be those of the
     sides' aux (from `acoustics_cell_planes`): the per-side products and the
@@ -327,19 +329,25 @@ def rp_acoustics_var(direction: Direction, ql, qr, auxl=None, auxr=None) -> Riem
         )
     _check_positive("density", left=auxl[0], right=auxr[0])
     _check_positive("sound speed", left=auxl[1], right=auxr[1])
-    return _acoustics(direction, jump, auxl[0] * auxl[1], auxr[0] * auxr[1],
-                      auxl[1], auxr[1])
+    with np.errstate(over="ignore"):  # an infinite impedance is caught below
+        zl, zr = auxl[0] * auxl[1], auxr[0] * auxr[1]
+    if not (np.max(zl, initial=0.0) < np.inf and np.max(zr, initial=0.0) < np.inf):
+        _raise_first_bad("non-finite density, sound speed or impedance on {side} side",
+                         left=~np.isfinite(zl)[np.newaxis], right=~np.isfinite(zr)[np.newaxis])
+    return _acoustics(direction, jump, zl, zr, auxl[1], auxr[1])
 
 
 def acoustics_cell_planes(q, aux) -> CellPlanes | None:
     """The CellPlanes (Z, c) of a block's aux (rho, c), (2, batch...), or
-    None if any cell's density or sound speed is not above the floor.
+    None if any cell's density or sound speed is not above the floor or its
+    impedance is not finite.
 
-    Guard only, one reduction each for density and sound speed: a block that
-    passes gets Z = rho * c, the product `rp_acoustics_var` forms per side,
-    so the bits are the same, and c as a view of aux; any other gets None,
-    and its caller solves without planes so that `rp_acoustics_var` locates
-    the failure.  The states `q` are not read.
+    Guard only, one reduction each for density, sound speed and impedance: a
+    block that passes gets Z = rho * c, the product `rp_acoustics_var` forms
+    per side, so the bits are the same, and c as a view of aux; any other
+    gets None, and its caller solves without planes so that
+    `rp_acoustics_var` locates the failure.  With rho and c positive, a
+    finite Z means both are finite.  The states `q` are not read.
     """
     aux = np.asarray(aux, dtype=float)
     if aux.ndim < 2 or aux.shape[0] != 2:
@@ -348,7 +356,11 @@ def acoustics_cell_planes(q, aux) -> CellPlanes | None:
     if not (np.min(rho, initial=np.inf) > ADMISSIBILITY_FLOOR
             and np.min(c, initial=np.inf) > ADMISSIBILITY_FLOOR):
         return None
-    return CellPlanes((rho * c, c))
+    with np.errstate(over="ignore"):  # an infinite impedance is caught below
+        z = rho * c
+    if not np.max(z, initial=0.0) < np.inf:
+        return None
+    return CellPlanes((z, c))
 
 
 def _euler_cells(q: np.ndarray, gamma: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -527,8 +539,9 @@ def rp_euler(direction: Direction, ql, qr, auxl=None, auxr=None, *,
         _check_cover(auxl, auxr, ql, qr)
         return _euler_roe(direction, jump, auxl.planes, auxr.planes, gamma)
     _check_positive("density", left=ql[0], right=qr[0])
-    p_l, cells_l = _euler_cells(ql, gamma)
-    p_r, cells_r = _euler_cells(qr, gamma)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite cell is caught below
+        p_l, cells_l = _euler_cells(ql, gamma)
+        p_r, cells_r = _euler_cells(qr, gamma)
     _check_positive("pressure", left=p_l, right=p_r)
     return _euler_roe(direction, jump, cells_l, cells_r, gamma)
 

@@ -42,9 +42,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             BenchConfig(**{**base, "cfl": 1.5})
         with pytest.raises(ValueError):
-            BenchConfig(**{**base, "grain": 0})
-        with pytest.raises(ValueError):
-            BenchConfig(**{**base, "sizes": ((1, 8),)})
+            BenchConfig(**{**base, "backends": ("workstealing",), "grain": 0})
+
+    def test_one_cell_periodic_axis_is_accepted(self):
+        # one ghost layer: a periodic axis of one cell wraps onto itself
+        sizes = ((1, 8), (8, 1), (1, 1))
+        config = BenchConfig(kernels=("advection", "euler"), sizes=sizes,
+                             strategies=(CellWise(),), backends=("serial", "static"),
+                             threads=(2,), steps=1, warmup=0, repetitions=1)
+        records = run_bench(config)
+        assert len(records) == 2 * 3 * 2  # kernels x sizes x (serial, static 2)
+        assert {(r.nx, r.ny) for r in records} == set(sizes)
 
 
 class TestRunBench:

@@ -38,8 +38,8 @@ class TestParseBench:
         ["bench", "--threads", "0"],
         ["bench", "--threads", "1,0"],
         ["bench", "--sizes", "0x32"],
-        ["bench", "--sizes", "1x8"],
-        ["bench", "--sizes", "8x8,8x1"],
+        ["bench", "--sizes", "8x0"],
+        ["bench", "--sizes", "8x8,-1x8"],
         ["bench", "--sizes", "banana"],
         ["bench", "--kernel", "warp"],
         ["bench", "--backend", "cuda"],
@@ -59,6 +59,17 @@ class TestParseBench:
         with pytest.raises(SystemExit) as exc:
             parse_args(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("backends", ["serial", "static,serial"])
+    def test_grain_without_workstealing_exits_2(self, backends, capsys):
+        # as for run: a grain no backend of the matrix takes is refused, not ignored
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["bench", "--backend", backends, "--grain", "4", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "grain applies only to the workstealing backend" in capsys.readouterr().err
+        cfg = parse_args(["bench", "--backend", backends + ",workstealing", "--grain", "4",
+                          "--threads", "2"])
+        assert cfg.grain == 4
 
 
 class TestParseRun:
@@ -100,13 +111,6 @@ class TestParseRun:
         with pytest.raises(SystemExit) as exc:
             parse_args(argv)
         assert exc.value.code == 2
-
-    @pytest.mark.parametrize("nx,ny", [("1", "1"), ("8", "1"), ("1", "8")])
-    def test_grid_smaller_than_ghost_frame_exits_2(self, nx, ny, capsys):
-        with pytest.raises(SystemExit) as exc:
-            parse_args(["run", "--nx", nx, "--ny", ny, "--steps", "1"])
-        assert exc.value.code == 2
-        assert "ghost frame" in capsys.readouterr().err
 
     def test_cfl_flag_feeds_controller(self):
         cfg = parse_args(["run", "--cfl", "0.5"])
@@ -153,6 +157,14 @@ class TestMain:
         assert code == 0
         assert "steps=3" in out
         assert "kernel=euler" in out
+
+    @pytest.mark.parametrize("nx,ny", [("1", "1"), ("8", "1"), ("1", "8")])
+    def test_one_cell_periodic_axis_runs(self, nx, ny, capsys):
+        # one ghost layer: a periodic axis of one cell wraps onto itself
+        for kernel in driver.DEFAULT_IC:
+            code = main(["run", "--kernel", kernel, "--nx", nx, "--ny", ny, "--steps", "2"])
+            assert code == 0
+            assert "steps=2" in capsys.readouterr().out
 
     def test_run_past_step_limit_exits_1(self, monkeypatch, capsys):
         monkeypatch.setattr(driver, "MAX_STEPS", 4)

@@ -1,3 +1,6 @@
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -9,11 +12,11 @@ EXT = BoundaryCondition.EXTRAPOLATE
 
 
 def test_allocation_shapes():
-    spec = GridSpec(nx=4, ny=3, dx=0.1, dy=0.1, num_ghost=2, num_eqn=1)
+    spec = GridSpec(nx=4, ny=3, dx=0.1, dy=0.1, num_eqn=1)
     state, aux, fluct = allocate_fields(spec)
-    assert state.data.shape == (1, 8, 7)
-    assert state.data.size == 56
-    assert aux.data.shape == (0, 8, 7)
+    assert state.data.shape == (1, 6, 5)
+    assert state.data.size == 30
+    assert aux.data.shape == (0, 6, 5)
     assert fluct.x_minus.shape == (1, 5, 3)
     assert fluct.x_plus.shape == (1, 5, 3)
     assert fluct.y_minus.shape == (1, 4, 4)
@@ -23,7 +26,7 @@ def test_allocation_shapes():
 
 
 def test_allocation_minimal_grid():
-    spec = GridSpec(nx=1, ny=1, dx=1.0, dy=1.0, num_ghost=1, num_eqn=4)
+    spec = GridSpec(nx=1, ny=1, dx=1.0, dy=1.0, num_eqn=4)
     state, _, _ = allocate_fields(spec)
     assert state.data.size == 4 * 3 * 3 == 36
 
@@ -33,13 +36,21 @@ def test_allocation_minimal_grid():
     dict(nx=3, ny=-1, dx=0.1, dy=0.1),
     dict(nx=3, ny=3, dx=0.0, dy=0.1),
     dict(nx=3, ny=3, dx=0.1, dy=-0.5),
-    dict(nx=3, ny=3, dx=0.1, dy=0.1, num_ghost=0),
+    dict(nx=3, ny=3, dx=math.nan, dy=0.1),
     dict(nx=3, ny=3, dx=0.1, dy=0.1, num_eqn=0),
     dict(nx=3, ny=3, dx=0.1, dy=0.1, num_aux=-1),
 ])
 def test_invalid_spec_rejected(bad):
     with pytest.raises(ValueError):
         GridSpec(**bad)
+
+
+def test_one_ghost_layer_is_a_constant():
+    # the donor-cell scheme reads ghost layer 1 only, so no grid sets the depth
+    assert "num_ghost" not in {f.name for f in fields(GridSpec)}
+    assert GridSpec(nx=3, ny=2, dx=0.1, dy=0.1).num_ghost == GridSpec.num_ghost == 1
+    with pytest.raises(TypeError):
+        GridSpec(nx=3, ny=3, dx=0.1, dy=0.1, **{"num_ghost": 2})
 
 
 def _assert_planar(arr: np.ndarray):
@@ -64,8 +75,8 @@ def test_components_are_contiguous_planes():
     assert state.copy().data.strides == state.data.strides
 
 
-def _row_field(values, num_ghost=1):
-    spec = GridSpec(nx=len(values), ny=1, dx=1.0, dy=1.0, num_ghost=num_ghost, num_eqn=1)
+def _row_field(values):
+    spec = GridSpec(nx=len(values), ny=1, dx=1.0, dy=1.0, num_eqn=1)
     state = StateField(spec)
     state.interior[0, :, 0] = values
     return spec, state
@@ -89,7 +100,7 @@ def test_extrapolate_row_copies_edges():
 
 @pytest.mark.parametrize("bc", [PER, EXT])
 def test_constant_field_ghosts_equal_constant(bc):
-    spec = GridSpec(nx=5, ny=4, dx=1.0, dy=1.0, num_ghost=2, num_eqn=2)
+    spec = GridSpec(nx=5, ny=4, dx=1.0, dy=1.0, num_eqn=2)
     state = StateField(spec)
     state.interior[:] = 7.25
     fill_ghost(state, bc, bc)
@@ -99,7 +110,7 @@ def test_constant_field_ghosts_equal_constant(bc):
 @pytest.mark.parametrize("bc_x,bc_y", [(PER, PER), (EXT, EXT), (PER, EXT)])
 def test_fill_ghost_idempotent_and_interior_untouched(bc_x, bc_y):
     rng = np.random.default_rng(3)
-    spec = GridSpec(nx=6, ny=5, dx=0.5, dy=0.25, num_ghost=2, num_eqn=3)
+    spec = GridSpec(nx=6, ny=5, dx=0.5, dy=0.25, num_eqn=3)
     state = StateField(spec)
     state.interior[:] = rng.normal(size=state.interior.shape)
     before = state.interior.copy()
@@ -114,7 +125,7 @@ def test_fill_ghost_idempotent_and_interior_untouched(bc_x, bc_y):
 
 def test_periodic_corners_wrap_both_axes():
     rng = np.random.default_rng(4)
-    spec = GridSpec(nx=5, ny=4, dx=1.0, dy=1.0, num_ghost=2, num_eqn=1)
+    spec = GridSpec(nx=5, ny=4, dx=1.0, dy=1.0, num_eqn=1)
     state = StateField(spec)
     state.interior[:] = rng.normal(size=state.interior.shape)
     fill_ghost(state, PER, PER)
@@ -123,13 +134,16 @@ def test_periodic_corners_wrap_both_axes():
     assert d[0, g + spec.nx, g + spec.ny] == d[0, g, g]
 
 
-def test_periodic_requires_enough_cells():
-    spec = GridSpec(nx=1, ny=4, dx=1.0, dy=1.0, num_ghost=2, num_eqn=1)
-    state = StateField(spec)
-    with pytest.raises(ValueError, match="periodic"):
-        fill_ghost(state, PER, EXT)
-    # extrapolation has no such constraint
-    fill_ghost(state, EXT, EXT)
+def test_one_cell_periodic_axis_wraps_onto_itself():
+    # one ghost layer: both ghost columns of a one-cell periodic row are its cell
+    spec = GridSpec(nx=1, ny=4, dx=1.0, dy=1.0, num_eqn=1)
+    for bc_y, low, high in ((PER, 4.0, 1.0), (EXT, 1.0, 4.0)):
+        state = StateField(spec)
+        state.interior[0, 0, :] = [1.0, 2.0, 3.0, 4.0]
+        fill_ghost(state, PER, bc_y)
+        assert state.data.shape == (1, 3, 6)
+        for i in range(3):
+            assert list(state.data[0, i]) == [low, 1.0, 2.0, 3.0, 4.0, high]
 
 
 def test_aux_field_with_zero_components():

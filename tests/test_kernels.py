@@ -198,6 +198,21 @@ class TestAcousticsVar:
             rp_acoustics_var(Direction.X, np.zeros((3, 6)), np.zeros((3, 6)), auxl, auxr)
         assert exc.value.element == (4,)
 
+    @pytest.mark.parametrize("rho,c", [(1.0, np.inf), (np.inf, 1.0), (1e200, 1e200)])
+    def test_non_finite_material_is_located(self, rho, c):
+        # an infinite density or sound speed, or an impedance rho c that
+        # overflows: the cell pass makes no planes and the plain solve names
+        # the cell, with no warning either way
+        aux = np.random.default_rng(19).uniform(0.5, 2.0, (2, 3, 4))
+        aux[:, 2, 1] = rho, c
+        q = np.zeros((3, 3, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert acoustics_cell_planes(q, aux) is None
+            with pytest.raises(KernelError, match="non-finite .* on right side") as exc:
+                rp_acoustics_var(Direction.X, q, q, np.ones((2, 3, 4)), aux)
+        assert exc.value.element == (2, 1)
+
     def test_xy_symmetry(self):
         rng = np.random.default_rng(13)
         ql, qr = rng.normal(size=(2, 3, 60))
@@ -268,6 +283,17 @@ class TestEuler:
         assert exc.value.element == (0,)
         with pytest.raises(ValueError, match=r"got \(4, 1\) and \(3, 1\)"):
             rp_euler(Direction.X, self.QL, self.QR[:3])
+
+    def test_overflowing_cell_raises_kernel_error_and_no_warning(self):
+        # momentum 1e300 at unit density: u^2 overflows and the pressure is -inf
+        ql = np.tile(SOD_L[:, None], (1, 5)).copy()
+        qr = ql.copy()
+        qr[1, 3] = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(KernelError, match="pressure on right") as exc:
+                rp_euler(Direction.X, ql, qr)
+        assert exc.value.element == (3,)
 
     def test_batched_error_reports_offending_element(self):
         ql = np.tile(SOD_L[:, None], (1, 8)).copy()

@@ -1,5 +1,6 @@
 import threading
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -19,9 +20,8 @@ from wavesweep.sweep import (_UPDATE_CHUNK, CellWise, RowWise, SweepError, Tiled
 PER = BoundaryCondition.PERIODIC
 
 
-def filled_gas_field(nx, ny, seed=0, num_ghost=2):
-    spec = GridSpec(nx=nx, ny=ny, dx=1.0 / nx, dy=1.0 / ny,
-                    num_ghost=num_ghost, num_eqn=4)
+def filled_gas_field(nx, ny, seed=0):
+    spec = GridSpec(nx=nx, ny=ny, dx=1.0 / nx, dy=1.0 / ny, num_eqn=4)
     state = StateField(spec)
     state.interior[:] = random_gas_states(np.random.default_rng(seed), nx * ny, 1.4) \
         .reshape(4, nx, ny)
@@ -54,7 +54,7 @@ def test_max_speeds_are_magnitudes_of_negative_velocities():
 
 def test_two_cell_periodic_row_hand_enumeration():
     # interior [2, 5] with u=1: wrap ghosts make interfaces 5|2, 2|5, 5|2
-    spec = GridSpec(nx=2, ny=1, dx=1.0, dy=1.0, num_ghost=1, num_eqn=1)
+    spec = GridSpec(nx=2, ny=1, dx=1.0, dy=1.0, num_eqn=1)
     state, aux, _ = allocate_fields(spec)
     state.interior[0, :, 0] = [2.0, 5.0]
     fill_ghost(state, PER, PER)
@@ -214,6 +214,61 @@ def test_kernel_failure_reports_interface_coordinates(backend):
             with pytest.raises(SweepError) as exc:
                 sweep(state, aux, make_kernel(name), strategy, backend)
             assert (exc.value.direction, exc.value.i, exc.value.j) == where
+
+
+@pytest.mark.parametrize("backend", [Serial(), WorkStealing(2)])
+@pytest.mark.parametrize("rho,c", [(1.0, np.inf), (np.inf, 1.0), (1e200, 1e200)])
+def test_non_finite_material_is_located(rho, c, backend):
+    # an infinite density or sound speed, or an overflowing impedance rho c,
+    # in aux cell (5, 7) is reported at x-interface (5, 7), with no warning
+    state, aux, _ = initial_condition("acoustics-var-interface",
+                                      unit_square_spec("acoustics-var", 16, 16))
+    aux.interior[:, 5, 7] = rho, c
+    fill_ghost(state, PER, PER)
+    fill_ghost(aux, PER, PER)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SweepError, match="non-finite") as exc:
+            sweep(state, aux, make_kernel("acoustics-var"), CellWise(), backend)
+    assert (exc.value.direction, exc.value.i, exc.value.j) == (Direction.X, 5, 7)
+
+
+@pytest.mark.parametrize("backend", [Serial(), WorkStealing(2)])
+def test_overflowing_gas_cell_is_located(backend):
+    # momentum 1e300 at unit density: the cell pass refuses the block, and the
+    # plain solve reports the nonpositive pressure, not an overflow warning
+    state, aux, _ = initial_condition("euler-uniform", unit_square_spec("euler", 8, 6))
+    state.interior[:, 3, 2] = 1.0, 1e300, 0.0, 2.5
+    fill_ghost(state, PER, PER)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SweepError, match="nonpositive pressure on right side") as exc:
+            sweep(state, aux, make_kernel("euler"), CellWise(), backend)
+    assert (exc.value.direction, exc.value.i, exc.value.j) == (Direction.X, 3, 2)
+
+
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_one_cell_periodic_axis(name):
+    # one ghost layer: a one-cell periodic axis wraps onto itself, so every
+    # interface across it joins a cell to itself and its fluctuations are
+    # exactly zero; every strategy and backend gives Serial()'s bits
+    for nx, ny in ((1, 7), (7, 1), (1, 1)):
+        state, aux, params = initial_condition(DEFAULT_IC[name], unit_square_spec(name, nx, ny))
+        fill_ghost(state, PER, PER)
+        fill_ghost(aux, PER, PER)
+        kernel = make_kernel(name, **params)
+        ref, ref_stats = sweep(state, aux, kernel, RowWise(), Serial())
+        across = ([ref.x_minus, ref.x_plus] if nx == 1 else []) + \
+                 ([ref.y_minus, ref.y_plus] if ny == 1 else [])
+        for arr in across:
+            assert np.all(arr == 0.0)
+        for strategy in STRATEGIES:
+            for backend in BACKENDS:
+                out, stats = sweep(state, aux, kernel, strategy, backend)
+                for a, b in ((ref.x_minus, out.x_minus), (ref.x_plus, out.x_plus),
+                             (ref.y_minus, out.y_minus), (ref.y_plus, out.y_plus)):
+                    assert np.array_equal(a, b)
+                assert stats == ref_stats
 
 
 @pytest.mark.parametrize("name", KERNEL_NAMES)
@@ -498,7 +553,7 @@ class TestApplyUpdate:
 
     def test_donor_cell_hand_case(self):
         # u=1, dt/dx=0.5, profile 0 0 1 1: the cell right of the jump halves
-        spec = GridSpec(nx=4, ny=1, dx=1.0, dy=1.0, num_ghost=1, num_eqn=1)
+        spec = GridSpec(nx=4, ny=1, dx=1.0, dy=1.0, num_eqn=1)
         state, aux, _ = allocate_fields(spec)
         state.interior[0, :, 0] = [0.0, 0.0, 1.0, 1.0]
         fill_ghost(state, BoundaryCondition.EXTRAPOLATE, BoundaryCondition.EXTRAPOLATE)
@@ -546,7 +601,8 @@ class TestApplyUpdate:
         dt = 0.01
         dtdx, dtdy = dt / spec.dx, dt / spec.dy
         expect = state.data.copy(order="F")
-        q = expect[:, 2 : 2 + nx, 2 : 2 + ny]
+        g = spec.num_ghost
+        q = expect[:, g : g + nx, g : g + ny]
         q -= dtdx * (fluct.x_plus[:, :nx] + fluct.x_minus[:, 1:])
         q -= dtdy * (fluct.y_plus[:, :, :ny] + fluct.y_minus[:, :, 1:])
         apply_update(state, fluct, dt, backend=backend)
