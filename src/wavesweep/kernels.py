@@ -11,9 +11,13 @@ of one, ``q[:, None]``), and every output element depends only on the
 matching input elements, so results are bitwise identical however the batch
 is carved up.  Every result array is fresh per call: a solver never writes its
 inputs, and no result shares memory with an input or with another call's
-results, so concurrent calls over one field cannot race.  The solvers compute
-in place in their result slots, through `out=` and in-place operators, which
-need arrays: that is why a state with no batch axis is a ValueError.
+results, so concurrent calls over one field cannot race.  Advection's speeds
+are the one read-only array, a broadcast of the call's own one-element speed,
+so no speeds plane is allocated or filled for it.  The solvers compute in
+place in their result slots, through `out=` and in-place operators, which need
+arrays: that is why a state with no batch axis is a ValueError.  Each solver
+also returns max |s| over its batch, reduced over only the speeds that can
+hold it, so that a sweep need not reduce the whole speeds array.
 
 State conventions:
   advection       q = (tracer,)
@@ -40,6 +44,11 @@ import numpy as np
 # positivity-preserving repair, inadmissible inputs are an error
 ADMISSIBILITY_FLOOR = 1e-300
 
+# the sum of two nonnegative doubles at most this is at most the largest
+# double, so it cannot overflow: the bound on the per-cell values whose sum
+# over an interface's two sides a solver forms (impedances, Roe enthalpies)
+_HALF_MAX = float(np.finfo(float).max) / 2
+
 
 class Direction(enum.Enum):
     """Which velocity/momentum component is normal to the interface."""
@@ -51,8 +60,10 @@ class Direction(enum.Enum):
 class KernelError(ValueError):
     """Inadmissible or non-finite kernel input.
 
-    `side` is "left", "right" or "input" (None for parameter problems);
-    `element` is the batch multi-index of the first offending interface.
+    `side` is "left", "right" or "input", or None for a parameter problem or
+    a failure of the pair of sides (an overflowing impedance sum, say);
+    `element` is the batch multi-index of the first offending interface, None
+    for a parameter problem.
     """
 
     def __init__(self, message: str, side: str | None = None, element: tuple | None = None):
@@ -65,16 +76,22 @@ class KernelError(ValueError):
 class RiemannResult:
     """Solution of one batch of Riemann problems.
 
-    waves   (num_waves, num_eqn) + batch  jump carried by each wave
-    speeds  (num_waves,) + batch          signal speeds
-    amdq    (num_eqn,) + batch            left-going fluctuation
-    apdq    (num_eqn,) + batch            right-going fluctuation
+    waves      (num_waves, num_eqn) + batch  jump carried by each wave
+    speeds     (num_waves,) + batch          signal speeds (read-only for advection)
+    amdq       (num_eqn,) + batch            left-going fluctuation
+    apdq       (num_eqn,) + batch            right-going fluctuation
+    max_speed  float                         max |s| over the batch, 0.0 if empty
+
+    `max_speed` equals max(speeds.max(), -speeds.min()), taken by the solver
+    where it is cheapest: from its one speed, or from its outermost waves'
+    speeds alone.
     """
 
     waves: np.ndarray
     speeds: np.ndarray
     amdq: np.ndarray
     apdq: np.ndarray
+    max_speed: float
 
 
 @dataclass(frozen=True)
@@ -176,6 +193,31 @@ def _check_positive(what: str, **sides: np.ndarray):
     _raise_first_bad(f"nonpositive {what} on {{side}} side", **masks)
 
 
+def _check_finite_sum(what: str, total: str, left: np.ndarray, right: np.ndarray):
+    """Raise at the lowest batch element where `what`, a quantity positive
+    where finite, is infinite or NaN on either side ("non-finite {what} on
+    {side} side"), or where left + right, named `total`, overflows ("{total}
+    overflows", naming no side).
+
+    Guard, then locate, as _check_positive: one reduction per side.  Two
+    values at most _HALF_MAX have a finite sum, so only a batch holding a
+    larger value, or a NaN, forms the sum.  The sum is non-finite wherever a
+    side is, so its first bad element is the first failure of either kind.
+    """
+    if np.max(left, initial=0.0) <= _HALF_MAX and np.max(right, initial=0.0) <= _HALF_MAX:
+        return
+    with np.errstate(over="ignore"):
+        bad = ~np.isfinite(left + right)
+    if not bad.any():
+        return
+    element = _first_bad(bad[np.newaxis])
+    side = next((name for name, arr in (("left", left), ("right", right))
+                 if not np.isfinite(arr[element])), None)
+    if side is None:
+        raise KernelError(f"{total} overflows", element=element)
+    raise KernelError(f"non-finite {what} on {side} side", side=side, element=element)
+
+
 def _normal_slot(direction: Direction) -> int:
     return 1 if direction is Direction.X else 2
 
@@ -200,19 +242,18 @@ def rp_advection(direction: Direction, ql, qr, auxl=None, auxr=None, *,
                  u: float, v: float) -> RiemannResult:
     """Scalar advection with constant velocity (u, v): pure upwinding.
 
-    One wave W = qr - ql at speed u (X sweeps) or v (Y sweeps).  The aux
-    slots are ignored.
+    One wave W = qr - ql at speed u (X sweeps) or v (Y sweeps); the speeds
+    are a read-only broadcast of that one speed.  The aux slots are ignored.
     """
     if not (math.isfinite(u) and math.isfinite(v)):
         raise KernelError(f"non-finite advection velocity ({u}, {v})")
     _, _, jump = _check_states(ql, qr, 1)
-    s = u if direction is Direction.X else v
-    batch = jump.shape[1:]
+    s = float(u if direction is Direction.X else v)
     waves = jump[np.newaxis]
-    speeds = np.full((1,) + batch, s)
+    speeds = np.broadcast_to(s, jump.shape)
     amdq = min(s, 0.0) * jump
     apdq = max(s, 0.0) * jump
-    return RiemannResult(waves, speeds, amdq, apdq)
+    return RiemannResult(waves, speeds, amdq, apdq, abs(s) if jump.size else 0.0)
 
 
 @dataclass(frozen=True)
@@ -276,9 +317,11 @@ def _acoustics(direction: Direction, jump, zl, zr, cl, cr) -> RiemannResult:
     speeds = _result_array((2,), dp)
     np.negative(cl, out=speeds[0])
     speeds[1] = cr
+    # -c_l < 0 < c_r, so max |s| is over -speeds[0] and speeds[1] alone
+    max_speed = max(float(speeds[1].max(initial=0.0)), -float(speeds[0].min(initial=0.0)))
     amdq = speeds[0] * waves[0]  # -c_l exactly, negation being exact
     apdq = cr * waves[1]
-    return RiemannResult(waves, speeds, amdq, apdq)
+    return RiemannResult(waves, speeds, amdq, apdq, max_speed)
 
 
 def rp_acoustics_const(direction: Direction, ql, qr, auxl=None, auxr=None, *,
@@ -288,14 +331,19 @@ def rp_acoustics_const(direction: Direction, ql, qr, auxl=None, auxr=None, *,
 
     The shared acoustics solution with the same impedance Z = rho c and sound
     speed c on both sides, so the strengths reduce to (-dp + Z dn) / (2 Z) and
-    (dp + Z dn) / (2 Z) (Z + Z is 2 Z exactly).  The aux slots are ignored.
+    (dp + Z dn) / (2 Z) (Z + Z is 2 Z exactly).  A medium whose Z is zero or
+    whose Z + Z overflows is refused with its parameters.  The aux slots are
+    ignored.
     """
     if not (0.0 < rho < math.inf and 0.0 < bulk < math.inf):
         raise KernelError(f"density and bulk modulus must be positive and finite, "
                           f"got {rho}, {bulk}")
-    _, _, jump = _check_states(ql, qr, 3)
     c = math.sqrt(bulk / rho)
     z = rho * c
+    if not 0.0 < z + z < math.inf:
+        raise KernelError(f"density {rho} and bulk modulus {bulk} give an impedance "
+                          f"Z = {z} with Z + Z not positive and finite")
+    _, _, jump = _check_states(ql, qr, 3)
     return _acoustics(direction, jump, z, z, c, c)
 
 
@@ -304,10 +352,11 @@ def rp_acoustics_var(direction: Direction, ql, qr, auxl=None, auxr=None) -> Riem
 
     The shared acoustics solution with per-interface impedances
     Z = rho * c and sound speeds c read from each side's aux, which both
-    sides must carry.  A density or sound speed not above the floor, or a
-    non-finite density, sound speed or impedance (rho c may overflow), raises
-    a located KernelError.  Reduces bitwise to the constant-coefficient
-    solver when both sides carry the same material.
+    sides must carry.  A density or sound speed not above the floor, a
+    non-finite density, sound speed or impedance (rho c may overflow), or an
+    impedance sum Z_l + Z_r that overflows raises a located KernelError.
+    Reduces bitwise to the constant-coefficient solver when both sides carry
+    the same material.
 
     Both aux slots may instead hold CellPlanes, which must be those of the
     sides' aux (from `acoustics_cell_planes`): the per-side products and the
@@ -331,23 +380,23 @@ def rp_acoustics_var(direction: Direction, ql, qr, auxl=None, auxr=None) -> Riem
     _check_positive("sound speed", left=auxl[1], right=auxr[1])
     with np.errstate(over="ignore"):  # an infinite impedance is caught below
         zl, zr = auxl[0] * auxl[1], auxr[0] * auxr[1]
-    if not (np.max(zl, initial=0.0) < np.inf and np.max(zr, initial=0.0) < np.inf):
-        _raise_first_bad("non-finite density, sound speed or impedance on {side} side",
-                         left=~np.isfinite(zl)[np.newaxis], right=~np.isfinite(zr)[np.newaxis])
+    _check_finite_sum("density, sound speed or impedance", "impedance sum Z_l + Z_r", zl, zr)
     return _acoustics(direction, jump, zl, zr, auxl[1], auxr[1])
 
 
 def acoustics_cell_planes(q, aux) -> CellPlanes | None:
     """The CellPlanes (Z, c) of a block's aux (rho, c), (2, batch...), or
     None if any cell's density or sound speed is not above the floor or its
-    impedance is not finite.
+    impedance exceeds half the largest double.
 
     Guard only, one reduction each for density, sound speed and impedance: a
     block that passes gets Z = rho * c, the product `rp_acoustics_var` forms
     per side, so the bits are the same, and c as a view of aux; any other
     gets None, and its caller solves without planes so that
-    `rp_acoustics_var` locates the failure.  With rho and c positive, a
-    finite Z means both are finite.  The states `q` are not read.
+    `rp_acoustics_var` locates the failure, if there is one.  With rho and c
+    positive, a finite Z means both are finite, and two impedances at most
+    half the largest double have a finite sum Z_l + Z_r.  The states `q` are
+    not read.
     """
     aux = np.asarray(aux, dtype=float)
     if aux.ndim < 2 or aux.shape[0] != 2:
@@ -358,7 +407,7 @@ def acoustics_cell_planes(q, aux) -> CellPlanes | None:
         return None
     with np.errstate(over="ignore"):  # an infinite impedance is caught below
         z = rho * c
-    if not np.max(z, initial=0.0) < np.inf:
+    if not np.max(z, initial=0.0) <= _HALF_MAX:
         return None
     return CellPlanes((z, c))
 
@@ -400,12 +449,16 @@ def _euler_cells(q: np.ndarray, gamma: float) -> tuple[np.ndarray, tuple[np.ndar
 def euler_cell_planes(q, aux=None, *, gamma: float) -> CellPlanes | None:
     """The CellPlanes of gas states q, (4, batch...), or None if any cell fails.
 
-    Guard only, one reduction each for density, pressure and finiteness: a
-    batch whose density and pressure exceed the floor and whose pressure is
-    finite gets its planes; any other gets None, and its caller solves without
-    planes so that `rp_euler` locates the failure.  With the density above the
-    floor, a finite pressure means a finite cell: an infinite or NaN density,
-    momentum or energy makes the pressure infinite or NaN.  `aux` is not read.
+    Guard only, one reduction each for density, pressure, the pressure's
+    finiteness and the enthalpy plane: a batch whose density and pressure
+    exceed the floor, whose pressure is finite and whose sqrt(rho) H is at
+    most half the largest double gets its planes; any other gets None, and
+    its caller solves without planes so that `rp_euler` locates the failure,
+    if there is one.  With the density above the floor, a finite pressure
+    means a finite cell: an infinite or NaN density, momentum or energy makes
+    the pressure infinite or NaN.  A finite cell may still have E + p
+    overflow, and two finite enthalpy planes may overflow in the Roe average's
+    sum, hence the enthalpy's own bound.  `aux` is not read.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim < 2 or q.shape[0] != 4:
@@ -415,7 +468,8 @@ def euler_cell_planes(q, aux=None, *, gamma: float) -> CellPlanes | None:
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite cell is caught below
         p, planes = _euler_cells(q, gamma)
     if not (np.min(p, initial=np.inf) > ADMISSIBILITY_FLOOR
-            and np.max(p, initial=0.0) < np.inf):
+            and np.max(p, initial=0.0) < np.inf
+            and np.max(planes[3], initial=0.0) <= _HALF_MAX):
         return None
     return CellPlanes(planes)
 
@@ -485,6 +539,9 @@ def _euler_roe(direction: Direction, jump, cells_l, cells_r, gamma: float) -> Ri
 
     np.subtract(u_hat, c_hat, out=speeds[0])
     np.add(u_hat, c_hat, out=speeds[2])
+    # the guard keeps c_hat > 0, so u_hat - c_hat <= u_hat <= u_hat + c_hat,
+    # rounded too: max |s| is over speeds[0] and speeds[2] alone
+    max_speed = max(float(speeds[2].max(initial=0.0)), -float(speeds[0].min(initial=0.0)))
     uc = np.multiply(u_hat, c_hat, out=c_hat)
 
     np.multiply(a_minus, speeds[0], out=waves[0, ni])
@@ -509,7 +566,7 @@ def _euler_roe(direction: Direction, jump, cells_l, cells_r, gamma: float) -> Ri
     for k in (1, 2):
         amdq += np.multiply(neg[k], waves[k], out=term)
         apdq += np.multiply(pos[k], waves[k], out=term)
-    return RiemannResult(waves, speeds, amdq, apdq)
+    return RiemannResult(waves, speeds, amdq, apdq, max_speed)
 
 
 def _check_gamma(gamma: float):
@@ -528,10 +585,12 @@ def rp_euler(direction: Direction, ql, qr, auxl=None, auxr=None, *,
     rarefactions may be rendered as (entropy-violating) jumps; benchmarking
     kernel cost does not require shock admissibility.
 
-    The aux slots are ignored unless both hold CellPlanes, which must be those
-    of ql and qr for this gamma (from `euler_cell_planes`): the per-side work
-    and the density and pressure checks are then skipped, and the result is
-    bitwise the same.
+    A density or pressure not above the floor, an enthalpy E + p that
+    overflows, or a sum of the sides' sqrt(rho) H that does, raises a located
+    KernelError.  The aux slots are ignored unless both hold CellPlanes, which
+    must be those of ql and qr for this gamma (from `euler_cell_planes`): the
+    per-side work and the density, pressure and enthalpy checks are then
+    skipped, and the result is bitwise the same.
     """
     _check_gamma(gamma)
     ql, qr, jump = _check_states(ql, qr, 4)
@@ -543,6 +602,8 @@ def rp_euler(direction: Direction, ql, qr, auxl=None, auxr=None, *,
         p_l, cells_l = _euler_cells(ql, gamma)
         p_r, cells_r = _euler_cells(qr, gamma)
     _check_positive("pressure", left=p_l, right=p_r)
+    _check_finite_sum("enthalpy", "Roe enthalpy sum sqrt(rho_l) H_l + sqrt(rho_r) H_r",
+                      cells_l[3], cells_r[3])
     return _euler_roe(direction, jump, cells_l, cells_r, gamma)
 
 

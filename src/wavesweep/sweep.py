@@ -32,11 +32,12 @@ pass (its descriptor's cell_pass: Euler's Roe inputs, acoustics-var's
 impedance and sound speed) also computes each cell once per block: the pass
 covers the cells the block's x- and y-calls read, plus one halo column and
 row, and hands them to both calls in the aux slots.  It is guarded by one
-reduction per check the solver makes on a cell (Euler's density, pressure and
-finiteness, acoustics-var's density and sound speed); a block that trips the
-guard is solved by the plain calls, which compute the same bits.  The planes
-are block-sized temporaries, so memory stays flat.  Each leaf returns its max
-speeds, and the sweep folds them into SweepStats.
+reduction per check the solver makes on a cell (Euler's density, pressure,
+finiteness and enthalpy, acoustics-var's density, sound speed and impedance);
+a block that trips the guard is solved by the plain calls, which compute the
+same bits.  The planes are block-sized temporaries, so memory stays flat.
+Each kernel call reports its max |s| (the result's max_speed), each leaf
+returns the largest of its calls', and the sweep folds them into SweepStats.
 
 Where a kernel failure is reported does not depend on the traversal.  The
 region stops at the first failing leaf; the sweep then solves the grid once
@@ -285,7 +286,8 @@ class _SweepContext:
 
     def _call(self, d: Direction, ia: int, ib: int, a: int, b: int,
               cells: CellPlanes | None = None) -> float:
-        """One kernel call on d-interfaces [ia, ib) x [a, b), stored; returns max |s|.
+        """One kernel call on d-interfaces [ia, ib) x [a, b), stored; returns
+        the solver's max |s| over them, its result's max_speed.
 
         Interface (i, j) lies between cell (i, j) and its lower neighbour
         along d.  `cells` are the planes of cells [ia - 1, ib) x [a - 1, b)
@@ -306,9 +308,7 @@ class _SweepContext:
         getattr(self.fluct, f"{d.value}_plus")[:, ia:ib, a:b] = res.apdq
         if self.counter is not None:
             self.counter.record(getattr(self.counter, d.value), ia, ib, a, b)
-        # max |s| = max(max s, -min s), with no |s| temporary; NaN speeds give NaN,
-        # which the callers' max(top, ...) passes over
-        return max(float(res.speeds.max()), -float(res.speeds.min()))
+        return res.max_speed
 
 
 def _tile_rects(t0: int, t1: int, tiles_i: int):

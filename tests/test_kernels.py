@@ -128,6 +128,15 @@ class TestAcousticsConst:
         with pytest.raises(KernelError, match="finite"):
             rp_acoustics_const(Direction.X, [[0.0]] * 3, [[1.0]] * 3, rho=rho, bulk=bulk)
 
+    @pytest.mark.parametrize("rho,bulk", [(1e308, 1e308), (1e-300, 1e308), (1e300, 1e-300)])
+    def test_impedance_sum_must_be_finite(self, rho, bulk):
+        # Z = sqrt(rho bulk) with Z + Z = inf, c = sqrt(bulk / rho) = inf, or
+        # c = 0: each divides the wave strengths by inf or 0, so it is refused
+        # with the parameters, naming no interface, before a state is read
+        with pytest.raises(KernelError, match="impedance") as exc:
+            rp_acoustics_const(Direction.X, [[np.nan]] * 3, [[0.0]] * 3, rho=rho, bulk=bulk)
+        assert exc.value.element is None
+
 
 class TestAcousticsVar:
     def test_impedance_mismatch_example(self):
@@ -213,6 +222,20 @@ class TestAcousticsVar:
                 rp_acoustics_var(Direction.X, q, q, np.ones((2, 3, 4)), aux)
         assert exc.value.element == (2, 1)
 
+    def test_overflowing_impedance_sum_is_located(self):
+        # finite impedances 1.69e308 on both sides of interface 2 sum past the
+        # largest double: the cell pass makes no planes and the plain solve
+        # names the interface, with no warning; one such side alone is admissible
+        auxl, auxr = np.random.default_rng(23).uniform(0.5, 2.0, (2, 2, 5))
+        auxl[:, 2] = auxr[:, 2] = auxr[:, 4] = 1.3e154
+        q = np.zeros((3, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert acoustics_cell_planes(q, auxr) is None
+            with pytest.raises(KernelError, match=r"impedance sum Z_l \+ Z_r overflows") as exc:
+                rp_acoustics_var(Direction.X, q, q, auxl, auxr)
+        assert exc.value.element == (2,) and exc.value.side is None
+
     def test_xy_symmetry(self):
         rng = np.random.default_rng(13)
         ql, qr = rng.normal(size=(2, 3, 60))
@@ -294,6 +317,33 @@ class TestEuler:
             with pytest.raises(KernelError, match="pressure on right") as exc:
                 rp_euler(Direction.X, ql, qr)
         assert exc.value.element == (3,)
+
+    def test_infinite_enthalpy_is_located(self):
+        # energy 1.5e308 at rest and unit density: the pressure 6e307 is
+        # finite, but E + p overflows, so the cell pass makes no planes and the
+        # plain solve names the cell, with no warning
+        ql = np.tile(SOD_L[:, None], (1, 5)).copy()
+        qr = ql.copy()
+        qr[:, 3] = 1.0, 0.0, 0.0, 1.5e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert euler_cell_planes(qr, gamma=1.4) is None
+            with pytest.raises(KernelError, match="non-finite enthalpy on right side") as exc:
+                rp_euler(Direction.X, ql, qr)
+        assert exc.value.element == (3,) and exc.value.side == "right"
+
+    def test_overflowing_enthalpy_sum_is_located(self):
+        # sqrt(rho) H = 1.4e308 on both sides of interface 1 is finite, but the
+        # Roe average's sum of the two overflows; one such side alone is admissible
+        ql = np.tile(SOD_L[:, None], (1, 4)).copy()
+        qr = ql.copy()
+        ql[:, 1] = qr[:, 1] = qr[:, 2] = 1.0, 0.0, 0.0, 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert euler_cell_planes(qr, gamma=1.4) is None
+            with pytest.raises(KernelError, match="Roe enthalpy sum .* overflows") as exc:
+                rp_euler(Direction.X, ql, qr)
+        assert exc.value.element == (1,) and exc.value.side is None
 
     def test_batched_error_reports_offending_element(self):
         ql = np.tile(SOD_L[:, None], (1, 8)).copy()
@@ -528,6 +578,7 @@ class TestGuardThenScan:
         empty, aux = np.empty((neqn, 0)), np.empty((2, 0))
         res = make_kernel(name, **KERNEL_PARAMS[name]).solve(Direction.Y, empty, empty, aux, aux)
         assert res.amdq.shape == res.apdq.shape == (neqn, 0)
+        assert res.max_speed == 0.0 == _speeds_extreme(res)
 
     def test_overflowing_finite_jumps_are_admissible(self):
         # each jump overflows to inf, or is finite with a sum that overflows:
@@ -665,8 +716,15 @@ GOLDEN = {
 }
 
 
+def _speeds_extreme(res) -> float:
+    """max |s| over a result's whole speeds array, as a sweep once reduced it."""
+    return max(float(res.speeds.max(initial=0.0)), -float(res.speeds.min(initial=0.0)))
+
+
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_results_match_golden_digests(key):
+    # the pinned bits of each result array, and a max_speed equal to the
+    # extreme of its whole speeds array
     name, d, case = key.rsplit("/", 2)
     direction = Direction(d)
     ql, qr, auxl, auxr = _golden_case(name, direction, case)
@@ -674,6 +732,8 @@ def test_results_match_golden_digests(key):
     got = " ".join(hashlib.sha1(_bits(getattr(res, field))).hexdigest()[:12]
                    for field in ("waves", "speeds", "amdq", "apdq"))
     assert got == GOLDEN[key]
+    assert type(res.max_speed) is float
+    assert res.max_speed == _speeds_extreme(res) > 0.0
 
 
 @pytest.mark.parametrize("ic", sorted(INITIAL_CONDITIONS))
@@ -718,6 +778,65 @@ def test_results_are_fresh_and_inputs_untouched(key):
         assert not any(np.shares_memory(out, a) for a in inputs), field
         assert not any(np.shares_memory(out, getattr(first, f))
                        for f in ("waves", "speeds", "amdq", "apdq")), field
+
+
+def _random_batch(name: str, seed: int, n: int, scale: float):
+    """States (num_eqn, n + 1) and aux (2, n + 1) of an admissible 1-D row of
+    cells, with material and gas magnitudes spread over 10^(+-scale)."""
+    rng = np.random.default_rng(seed)
+
+    def mag():
+        return 10.0 ** rng.uniform(-scale, scale, n + 1)
+
+    aux = np.stack([mag(), mag()])
+    if name == "euler":
+        rho, p = mag(), mag()
+        u, v = rng.uniform(-10.0, 10.0, (2, n + 1)) * mag()
+        q = np.stack([rho, rho * u, rho * v, p / 0.4 + 0.5 * rho * (u * u + v * v)])
+    else:
+        q = rng.normal(size=(DESCRIPTORS[name].num_eqn, n + 1)) * mag()
+    return q, aux
+
+
+@given(name=st.sampled_from(sorted(DESCRIPTORS)), direction=st.sampled_from(list(Direction)),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(0, 40), scale=st.floats(0.0, 3.0),
+       u=st.floats(-1e300, 1e300), v=st.floats(-1e300, 1e300),
+       rho=st.floats(1e-6, 1e6), bulk=st.floats(1e-6, 1e6))
+@settings(deadline=None, max_examples=200, derandomize=True)
+def test_max_speed_matches_speeds_on_random_batches(name, direction, seed, n, scale,
+                                                    u, v, rho, bulk):
+    # admissible batches of every kernel, plain and through its cell planes:
+    # max_speed is the extreme of the whole speeds array, to the bit
+    q, aux = _random_batch(name, seed, n, scale)
+    params = {"advection": {"u": u, "v": v}, "acoustics-const": {"rho": rho, "bulk": bulk},
+              "acoustics-var": {}, "euler": {}}[name]
+    kernel = make_kernel(name, **params)
+    ql, qr = q[:, :-1], q[:, 1:]
+    res = kernel.solve(direction, ql, qr, aux[:, :-1], aux[:, 1:])
+    assert res.max_speed == _speeds_extreme(res)
+    if kernel.descriptor.cell_pass is not None:
+        cells = kernel.descriptor.cell_pass(q, aux, **kernel.params)
+        with_planes = kernel.solve(direction, ql, qr, cells[:-1], cells[1:])
+        assert with_planes.max_speed == _speeds_extreme(with_planes) == res.max_speed
+
+
+@pytest.mark.parametrize("direction", [Direction.X, Direction.Y])
+def test_advection_speeds_are_a_read_only_broadcast(direction):
+    # one speed for the whole batch: no speeds plane is allocated or filled,
+    # and the broadcast is of memory fresh to the call
+    ql, qr, _, _ = _golden_case("advection", direction, "planar")
+    kernel = make_kernel("advection", **KERNEL_PARAMS["advection"])
+    first, second = (kernel.solve(direction, ql, qr) for _ in range(2))
+    s = KERNEL_PARAMS["advection"]["u" if direction is Direction.X else "v"]
+    assert second.speeds.shape == ql.shape and np.all(second.speeds == s)
+    assert second.speeds.strides == (0,) * ql.ndim
+    assert not second.speeds.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        second.speeds[0, 0, 0] = 0.0
+    for other in (ql, qr, first.speeds, first.waves, first.amdq, first.apdq,
+                  second.waves, second.amdq, second.apdq):
+        assert not np.shares_memory(second.speeds, other)
+    assert second.max_speed == abs(s)
 
 
 @pytest.mark.parametrize("shape", [(1,), (2,), (2, 7), (11, 9)])

@@ -247,6 +247,47 @@ def test_overflowing_gas_cell_is_located(backend):
     assert (exc.value.direction, exc.value.i, exc.value.j) == (Direction.X, 3, 2)
 
 
+@pytest.mark.parametrize("backend", [Serial(), WorkStealing(2)])
+@pytest.mark.parametrize("warn", ["error", "ignore"])
+@pytest.mark.parametrize("cells,where,message", [
+    # E + p overflows at (3, 2) though the pressure 6e307 is finite
+    ({(3, 2): 1.5e308}, (Direction.X, 3, 2), "non-finite enthalpy on right side"),
+    # sqrt(rho) H = 1.4e308 is finite in either cell; the Roe sum across
+    # x-interface (4, 2) overflows
+    ({(3, 2): 1e308, (4, 2): 1e308}, (Direction.X, 4, 2), "Roe enthalpy sum"),
+], ids=["infinite-enthalpy", "enthalpy-sum"])
+def test_overflowing_enthalpy_is_located(cells, where, message, warn, backend):
+    # with warnings raised or ignored alike, the sweep names the interface,
+    # rather than returning an infinite max speed or an unlocated ParallelError
+    state, aux, _ = initial_condition("euler-uniform", unit_square_spec("euler", 8, 6))
+    for cell, energy in cells.items():
+        state.interior[:, cell[0], cell[1]] = 1.0, 0.0, 0.0, energy
+    fill_ghost(state, PER, PER)
+    with warnings.catch_warnings():
+        warnings.simplefilter(warn)
+        with pytest.raises(SweepError, match=message) as exc:
+            sweep(state, aux, make_kernel("euler"), CellWise(), backend)
+    assert (exc.value.direction, exc.value.i, exc.value.j) == where
+
+
+@pytest.mark.parametrize("backend", [Serial(), WorkStealing(2)])
+@pytest.mark.parametrize("warn", ["error", "ignore"])
+def test_overflowing_impedance_sum_is_located(warn, backend):
+    # impedances 1.69e308 in aux cells (5, 7) and (6, 7) are finite, but their
+    # sum across x-interface (6, 7) is not: the sweep names that interface
+    # rather than dividing its waves by infinity
+    state, aux, _ = initial_condition("acoustics-var-interface",
+                                      unit_square_spec("acoustics-var", 16, 16))
+    aux.interior[:, 5:7, 7] = 1.3e154
+    fill_ghost(state, PER, PER)
+    fill_ghost(aux, PER, PER)
+    with warnings.catch_warnings():
+        warnings.simplefilter(warn)
+        with pytest.raises(SweepError, match=r"impedance sum Z_l \+ Z_r overflows") as exc:
+            sweep(state, aux, make_kernel("acoustics-var"), CellWise(), backend)
+    assert (exc.value.direction, exc.value.i, exc.value.j) == (Direction.X, 6, 7)
+
+
 @pytest.mark.parametrize("name", KERNEL_NAMES)
 def test_one_cell_periodic_axis(name):
     # one ghost layer: a one-cell periodic axis wraps onto itself, so every
