@@ -10,8 +10,7 @@ from .parallel import (Backend, ParallelError, Serial, StaticThreads,
                        WorkStealing, default_thread_count, detect_cores,
                        for_each_unit)
 # the function sweep is not re-exported, so that wavesweep.sweep stays the module
-from .sweep import (CellWise, RowWise, Strategy, SweepError, SweepStats, Tiled,
-                    apply_update)
+from .sweep import CellWise, Strategy, SweepError, SweepStats, Tiled, apply_update
 from .driver import (DEFAULT_IC, SimulationConfig, StepLimitError, StepReport,
                      TimestepController, choose_dt, initial_condition, integrate,
                      run, step)

@@ -23,13 +23,12 @@ import numpy as np
 from .driver import (DEFAULT_IC, SimulationConfig, TimestepController,
                      initial_condition, step, unit_square_spec)
 from .parallel import Backend, Serial, StaticThreads, WorkStealing
-from .sweep import CellWise, RowWise, Strategy, Tiled
+from .sweep import CellWise, Strategy, Tiled
 
 BACKEND_NAMES = ("serial", "static", "workstealing")
 
-# strategy name -> type; every strategy but Tiled takes no arguments
-_STRATEGIES = {"rowwise": RowWise, "cellwise": CellWise, "tiled": Tiled}
-STRATEGY_NAMES = tuple(_STRATEGIES)
+# "rowwise" and "cellwise" both name the CellWise preset
+STRATEGY_NAMES = ("rowwise", "cellwise", "tiled")
 
 # efficiency sanity band: values above this are flagged, not rejected
 EFFICIENCY_FLAG = 1.5
@@ -41,13 +40,15 @@ class BenchGuardError(RuntimeError):
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """The experiment matrix plus measurement policy."""
+    """The experiment matrix, strategies and backends by name as in the CSV,
+    plus measurement policy; `tile` is the (width, height) of "tiled"."""
 
     kernels: tuple[str, ...]
     sizes: tuple[tuple[int, int], ...]
-    strategies: tuple[Strategy, ...]
+    strategies: tuple[str, ...]
     backends: tuple[str, ...]
     threads: tuple[int, ...]
+    tile: tuple[int, int] = (64, 64)
     steps: int = 5
     warmup: int = 2
     repetitions: int = 5
@@ -69,6 +70,8 @@ class BenchConfig:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
         # the rest is checked by the types the matrix runs, built once here
         TimestepController(self.cfl)
+        for name in self.strategies:
+            make_strategy(name, self.tile)
         for name in self.backends:
             make_backend(name, 1)
         if self.grain is not None and "workstealing" not in self.backends:
@@ -78,7 +81,7 @@ class BenchConfig:
             WorkStealing(t, self.grain)
         for kernel in self.kernels:
             for nx, ny in self.sizes:
-                _simulation(kernel, nx, ny, self.strategies[0], Serial(), self.steps)
+                _simulation(kernel, nx, ny, CellWise(), Serial(), self.steps)
 
 
 @dataclass
@@ -111,16 +114,9 @@ def make_strategy(name: str, tile: tuple[int, int]) -> Strategy:
     --tile whatever the strategy.
     """
     tiled = Tiled(*tile)
-    if name not in _STRATEGIES:
+    if name not in STRATEGY_NAMES:
         raise ValueError(f"unknown strategy {name!r}; choose from {', '.join(STRATEGY_NAMES)}")
-    return tiled if name == "tiled" else _STRATEGIES[name]()
-
-
-def strategy_name(strategy: Strategy) -> str:
-    for name, kind in _STRATEGIES.items():
-        if isinstance(strategy, kind):
-            return name
-    raise TypeError(f"unknown strategy {strategy!r}")
+    return tiled if name == "tiled" else CellWise()
 
 
 def make_backend(name: str, threads: int, grain: int | None = None) -> Backend:
@@ -174,8 +170,8 @@ def run_bench(config: BenchConfig, progress=None) -> list[BenchRecord]:
 
     for kernel in config.kernels:
         for nx, ny in config.sizes:
-            for strategy in config.strategies:
-                sname = strategy_name(strategy)
+            for sname in config.strategies:
+                strategy = make_strategy(sname, config.tile)
                 say(f"{kernel} {nx}x{ny} {sname}: serial baseline")
                 base_ms, base_state = _measure_cell(
                     kernel, nx, ny, strategy, Serial(),

@@ -163,10 +163,9 @@ def parse_args(argv) -> BenchConfig | RunConfig | VerifyConfig:
     try:
         return BenchConfig(kernels=tuple(k.strip() for k in args.kernel.split(",")),
                            sizes=sizes,
-                           strategies=tuple(make_strategy(s.strip(), tile)
-                                            for s in args.strategy.split(",")),
+                           strategies=tuple(s.strip() for s in args.strategy.split(",")),
                            backends=tuple(b.strip() for b in args.backend.split(",")),
-                           threads=threads, steps=args.steps, warmup=args.warmup,
+                           threads=threads, tile=tile, steps=args.steps, warmup=args.warmup,
                            repetitions=args.reps, grain=args.grain, cfl=args.cfl,
                            out=args.out)
     except ValueError as exc:

@@ -211,7 +211,7 @@ _fluct_slot = threading.local()
 def _fluct_field(spec: GridSpec) -> FluctuationField:
     fluct = getattr(_fluct_slot, "field", None)
     if fluct is None or fluct.spec != spec:
-        fluct = _fluct_slot.field = FluctuationField(spec, zeroed=False)
+        fluct = _fluct_slot.field = FluctuationField(spec)
     return fluct
 
 

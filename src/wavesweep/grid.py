@@ -138,17 +138,16 @@ class FluctuationField:
     only: the sweep's max wave speeds are in its SweepStats.  The four arrays
     are component-planar with i fastest, like the state, so a kernel result
     for an (i-range, j-range) block, which the kernels lay out in the same
-    order, is stored as contiguous runs along i.
+    order, is stored as contiguous runs along i.  A fresh field is all zeros.
     """
 
-    def __init__(self, spec: GridSpec, *, zeroed: bool = True):
-        alloc = np.zeros if zeroed else np.empty
+    def __init__(self, spec: GridSpec):
         m = spec.num_eqn
         self.spec = spec
-        self.x_minus = _planar(m, spec.nx + 1, spec.ny, alloc)
-        self.x_plus = _planar(m, spec.nx + 1, spec.ny, alloc)
-        self.y_minus = _planar(m, spec.nx, spec.ny + 1, alloc)
-        self.y_plus = _planar(m, spec.nx, spec.ny + 1, alloc)
+        self.x_minus = _planar(m, spec.nx + 1, spec.ny)
+        self.x_plus = _planar(m, spec.nx + 1, spec.ny)
+        self.y_minus = _planar(m, spec.nx, spec.ny + 1)
+        self.y_plus = _planar(m, spec.nx, spec.ny + 1)
 
 
 def allocate_fields(spec: GridSpec) -> tuple[StateField, AuxField, FluctuationField]:

@@ -62,8 +62,9 @@ class KernelError(ValueError):
 
     `side` is "left", "right" or "input", or None for a parameter problem or
     a failure of the pair of sides (an overflowing impedance sum, say);
-    `element` is the batch multi-index of the first offending interface, None
-    for a parameter problem.
+    `element` is the batch multi-index of the lowest offending element of the
+    first check that fails (a later check may fail lower), None for a
+    parameter problem.
     """
 
     def __init__(self, message: str, side: str | None = None, element: tuple | None = None):

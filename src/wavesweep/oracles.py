@@ -16,13 +16,14 @@ from typing import Callable
 import numpy as np
 
 from . import kernels as K
-from .bench import make_backend, strategy_name
-from .driver import (DEFAULT_IC, SOD_LEFT, SOD_RIGHT, SimulationConfig, TimestepController,
-                     gaussian_profile, initial_condition, run, unit_square_spec)
+from .driver import (DEFAULT_IC, INITIAL_CONDITIONS, SOD_LEFT, SOD_RIGHT, SimulationConfig,
+                     TimestepController, gaussian_profile, initial_condition, run,
+                     unit_square_spec)
 from .driver import step as advance
 from .grid import BoundaryCondition, GridSpec, StateField
 from .kernels import Direction
-from .sweep import CellWise, RowWise, Tiled
+from .parallel import Serial, StaticThreads, WorkStealing
+from .sweep import CellWise, Tiled
 
 _GAS_FLOOR = 1e-300
 
@@ -267,13 +268,11 @@ class ErrorNorms:
     linf: float
 
 
-def error_norms(numeric: StateField, reference: StateField, component: int | None = None) -> ErrorNorms:
+def error_norms(numeric: StateField, reference: StateField) -> ErrorNorms:
     """Cell-area-weighted L1/L2 and pointwise Linf over the interior."""
     if numeric.spec != reference.spec:
         raise ValueError("fields must share a GridSpec")
     diff = numeric.interior - reference.interior
-    if component is not None:
-        diff = diff[component : component + 1]
     area = numeric.spec.dx * numeric.spec.dy
     abs_diff = np.abs(diff)
     return ErrorNorms(
@@ -403,45 +402,41 @@ def linear_exactness_errors(seed: int, samples: int = 10_000) -> dict[str, float
     return worst
 
 
-_EQUIV_BACKENDS = (("serial", 1, None), ("static", 4, None),
-                   ("workstealing", 4, 1), ("workstealing", 4, 7))
+_EQUIV_STRATEGIES = (CellWise(), Tiled(), Tiled(7, 5))
+_EQUIV_BACKENDS = (Serial(), StaticThreads(4), WorkStealing(4, 1), WorkStealing(4, 7))
 
 
-def equivalence_mismatches(nx: int = 128, ny: int = 96, steps: int = 10,
-                           strategies=None) -> list[str]:
+def equivalence_mismatches() -> list[str]:
     """Strategy x backend combinations whose final state differs from serial.
 
-    Runs every kernel for `steps` steps under every traversal strategy and
-    backend; returns the (empty, when all is well) list of mismatching
-    combination labels.
+    Runs every kernel on a 128 x 96 grid for 10 steps under every strategy
+    and backend above; returns the (empty, when all is well) list of
+    mismatching kernel/strategy/backend labels, by repr.
     """
-    if strategies is None:
-        strategies = (RowWise(), CellWise(), Tiled(), Tiled(7, 5))
     mismatches = []
     for kernel in K.KERNEL_NAMES:
-        spec = unit_square_spec(kernel, nx, ny)
+        spec = unit_square_spec(kernel, 128, 96)
         reference = None
-        for strategy in strategies:
-            for backend_name, threads, grain in _EQUIV_BACKENDS:
-                backend = make_backend(backend_name, threads, grain)
+        for strategy in _EQUIV_STRATEGIES:
+            for backend in _EQUIV_BACKENDS:
                 config = SimulationConfig(spec=spec, kernel=kernel,
                                           ic=DEFAULT_IC[kernel], strategy=strategy,
-                                          backend=backend, num_steps=steps)
+                                          backend=backend, num_steps=10)
                 state, _ = run(config)
                 if reference is None:
                     reference = state.data.copy()
                 elif not np.array_equal(state.data, reference):
-                    mismatches.append(f"{kernel}/{strategy_name(strategy)}/"
-                                      f"{backend_name}x{threads}")
+                    mismatches.append(f"{kernel}/{strategy!r}/{backend!r}")
     return mismatches
 
 
-def conservation_run_errors(steps: int = 100) -> dict[str, float]:
+def conservation_run_errors() -> dict[str, float]:
     """Worst per-step relative drift of componentwise interior sums.
 
-    Periodic advection and gas-dynamics runs; a conservative scheme keeps
-    every component's interior sum fixed up to rounding.
+    100 steps of periodic advection and gas-dynamics runs; a conservative
+    scheme keeps every component's interior sum fixed up to rounding.
     """
+    steps = 100
     worst = {}
     cases = {
         "advection": ("advection-gaussian", GridSpec(64, 64, 1 / 64, 1 / 64, num_eqn=1)),
@@ -462,12 +457,13 @@ def conservation_run_errors(steps: int = 100) -> dict[str, float]:
     return worst
 
 
-def advection_convergence(grids=(64, 128, 256, 512), t_final: float = 0.2
-                          ) -> tuple[float, list[float]]:
+def advection_convergence() -> tuple[float, list[float]]:
     """Self-convergence order of the Gaussian advection run vs exact translation.
 
-    Returns the least-squares slope of log(error) vs log(h) and the L1 errors.
+    Runs to t = 0.2 on n x n grids, n = 64, 128, 256 and 512.  Returns the
+    least-squares slope of log(error) vs log(h) and the L1 errors.
     """
+    grids, t_final = (64, 128, 256, 512), 0.2
     errors = []
     for n in grids:
         spec = GridSpec(nx=n, ny=n, dx=1.0 / n, dy=1.0 / n, num_eqn=1)
@@ -481,12 +477,15 @@ def advection_convergence(grids=(64, 128, 256, 512), t_final: float = 0.2
     return order, errors
 
 
-def sod_density_l1(nx: int, t_final: float = 0.15, gamma: float = 1.4) -> float:
+def sod_density_l1(nx: int) -> float:
     """1D L1 density error of a thin-strip shock-tube run vs the exact solution.
 
-    The strip is nx x 4 with square cells; the profile of the first interior
-    row is compared against the exact similarity solution, weighted by dx.
+    The strip is nx x 4 with square cells, run to t = 0.15; the profile of the
+    first interior row is compared, weighted by dx, against the exact
+    similarity solution for the ratio of specific heats the run binds.
     """
+    t_final = 0.15
+    gamma = INITIAL_CONDITIONS["euler-sod-x"].params["gamma"]
     spec = GridSpec(nx=nx, ny=4, dx=1.0 / nx, dy=1.0 / nx, num_eqn=4)
     config = SimulationConfig(spec=spec, kernel="euler", ic="euler-sod-x",
                               bc_x=BoundaryCondition.EXTRAPOLATE,

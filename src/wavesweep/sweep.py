@@ -6,11 +6,11 @@ into the interior cells.  The two phases are what make threading trivial:
 interface solves write disjoint interface slots, the update writes disjoint
 cells, and neither reads anything another parallel unit writes.
 
-Three traversal strategies produce bitwise-identical fluctuation fields and
-differ only in partitioning, because all three run one banded body.  Tiled's
-tile_w x tile_h tiles set the unit of work distribution; CellWise and RowWise
-are presets of it, the tiling by whole interface rows ((nx+1) x 1), kept as
-names for the command line and the CSV.  Each run of tiles a worker takes is
+Both traversal strategies produce bitwise-identical fluctuation fields and
+differ only in partitioning, because both run one banded body.  Tiled's
+tile_w x tile_h tiles set the unit of work distribution; CellWise is a preset
+of it, the tiling by whole interface rows ((nx+1) x 1), which the command
+line and the CSV also call "rowwise".  Each run of tiles a worker takes is
 coalesced into at most three rectangles, and each rectangle is solved in row
 blocks, in kernel calls of whole i-ranges.  The sweep hands the scheduler its band
 width (tiles per row of tiles) as the alignment, so a default work-stealing
@@ -42,9 +42,11 @@ returns the largest of its calls', and the sweep folds them into SweepStats.
 Where a kernel failure is reported does not depend on the traversal.  The
 region stops at the first failing leaf; the sweep then solves the grid once
 more without planes, row by row (j = 0 .. ny), x-interfaces then
-y-interfaces, and raises SweepError at the first interface that fails.  So
-every strategy and backend names the first failing interface in row-major
-order, x before y within a row.  If that pass does not fail, the region's
+y-interfaces, and raises SweepError at the first interface that fails (a
+kernel names the lowest bad element of its first check that trips, so a row's
+prefix before it is re-solved until it passes).  So every strategy and
+backend names the first failing interface in row-major order, x before y
+within a row.  If that pass does not fail, the region's
 ParallelError is raised unchanged.  A KernelError that names no interface, a
 refused kernel parameter say, is raised as it is, with no location pass.
 """
@@ -145,17 +147,9 @@ CHECKED_ENV = "WAVESWEEP_CHECKED"
 
 
 @dataclass(frozen=True)
-class RowWise:
-    """Preset of the banded body, the same as CellWise: whole interface rows.
-
-    Kept as a name for the command line and the CSV; it partitions, blocks
-    and orders kernel calls exactly as CellWise does.
-    """
-
-
-@dataclass(frozen=True)
 class CellWise:
-    """Preset of the banded body: tiles of one whole interface row, (nx+1) x 1."""
+    """Preset of the banded body: tiles of one whole interface row, (nx+1) x 1,
+    called "rowwise" or "cellwise" on the command line and in the CSV."""
 
 
 @dataclass(frozen=True)
@@ -170,7 +164,7 @@ class Tiled:
             raise ValueError(f"tile sides must be >= 1, got {self.tile_w}x{self.tile_h}")
 
 
-Strategy = RowWise | CellWise | Tiled
+Strategy = CellWise | Tiled
 
 
 @dataclass(frozen=True)
@@ -183,8 +177,8 @@ class SweepStats:
 class SweepError(RuntimeError):
     """Kernel failure during a sweep, located at a specific interface.
 
-    The interface is the first failing one in row-major order (rows j = 0 ..
-    ny), x before y within a row, under every strategy and backend.
+    The interface is exactly the first failing one in row-major order (rows
+    j = 0 .. ny), x before y within a row, under every strategy and backend.
     `driver.integrate` also locates it in time: `step` is the 0-based index of the
     failing step and `time` the sim time at its start (both None from a bare
     sweep).
@@ -273,6 +267,9 @@ class _SweepContext:
     def locate(self):
         """Raise SweepError at the first failing interface in row-major order,
         x before y within a row, solving without planes; return if none fails.
+        Each narrowing to a failing row's prefix trips a later check, so it
+        costs at most one call per check; a prefix call that fails otherwise
+        than with a KernelError keeps the element already found.
         """
         nx, ny = self.spec.nx, self.spec.ny
         for j in range(ny + 1):
@@ -282,6 +279,14 @@ class _SweepContext:
                 try:
                     self._call(d, 0, ie, j, j + 1)
                 except KernelError as err:
+                    while err.element and err.element[0] > 0:
+                        try:
+                            self._call(d, 0, err.element[0], j, j + 1)
+                            break  # the prefix passes
+                        except KernelError as earlier:
+                            err = earlier
+                        except Exception:
+                            break
                     raise SweepError(d, err.element[0] if err.element else 0, j, err) from err
 
     def _call(self, d: Direction, ia: int, ib: int, a: int, b: int,
@@ -350,13 +355,13 @@ def sweep(state: StateField, aux: AuxField | None, kernel: Kernel,
     kernel.descriptor.check_components(spec.num_eqn, aux.num_comp if aux is not None else 0)
 
     nx, ny = spec.nx, spec.ny
-    if isinstance(strategy, (RowWise, CellWise)):
+    if isinstance(strategy, CellWise):
         tile_w, tile_h = nx + 1, 1
     elif isinstance(strategy, Tiled):
         tile_w, tile_h = strategy.tile_w, strategy.tile_h
     else:
         raise TypeError(f"unknown traversal strategy {strategy!r}")
-    fluct = out if out is not None else FluctuationField(spec, zeroed=False)
+    fluct = out if out is not None else FluctuationField(spec)
     counter = _WriteCounter(nx, ny) if _checked() else None
     tiles_i = -(-(nx + 1) // tile_w)
     tiles_j = -(-(ny + 1) // tile_h)

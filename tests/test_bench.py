@@ -7,25 +7,25 @@ import pytest
 import wavesweep.bench as bench
 from wavesweep.bench import (STRATEGY_NAMES, BenchConfig, BenchGuardError,
                              BenchRecord, CSV_HEADER, emit_csv, make_backend,
-                             make_strategy, parse_csv, run_bench, strategy_name)
+                             make_strategy, parse_csv, run_bench)
 from wavesweep.parallel import Serial, StaticThreads, WorkStealing
-from wavesweep.sweep import CellWise, RowWise, Tiled
+from wavesweep.sweep import CellWise, Tiled
 
-TINY = dict(kernels=("advection",), sizes=((16, 16),), strategies=(CellWise(),),
+TINY = dict(kernels=("advection",), sizes=((16, 16),), strategies=("cellwise",),
             steps=2, warmup=1, repetitions=2)
 
 
 class TestConfigValidation:
     def test_empty_lists_rejected(self):
         with pytest.raises(ValueError, match="kernels"):
-            BenchConfig(kernels=(), sizes=((16, 16),), strategies=(CellWise(),),
+            BenchConfig(kernels=(), sizes=((16, 16),), strategies=("cellwise",),
                         backends=("serial",), threads=(1,))
         with pytest.raises(ValueError, match="threads"):
-            BenchConfig(kernels=("euler",), sizes=((16, 16),), strategies=(CellWise(),),
+            BenchConfig(kernels=("euler",), sizes=((16, 16),), strategies=("cellwise",),
                         backends=("serial",), threads=())
 
     def test_bad_values_rejected(self):
-        base = dict(kernels=("euler",), sizes=((16, 16),), strategies=(CellWise(),),
+        base = dict(kernels=("euler",), sizes=((16, 16),), strategies=("cellwise",),
                     backends=("serial",), threads=(1,))
         with pytest.raises(ValueError):
             BenchConfig(**{**base, "kernels": ("warp",)})
@@ -48,7 +48,7 @@ class TestConfigValidation:
         # one ghost layer: a periodic axis of one cell wraps onto itself
         sizes = ((1, 8), (8, 1), (1, 1))
         config = BenchConfig(kernels=("advection", "euler"), sizes=sizes,
-                             strategies=(CellWise(),), backends=("serial", "static"),
+                             strategies=("cellwise",), backends=("serial", "static"),
                              threads=(2,), steps=1, warmup=0, repetitions=1)
         records = run_bench(config)
         assert len(records) == 2 * 3 * 2  # kernels x sizes x (serial, static 2)
@@ -68,7 +68,7 @@ class TestRunBench:
     def test_matrix_enumeration_order_and_fields(self):
         config = BenchConfig(backends=("serial", "static"), threads=(1, 2),
                              kernels=("advection",), sizes=((16, 16), (16, 8)),
-                             strategies=(RowWise(), CellWise()),
+                             strategies=("rowwise", "cellwise"),
                              steps=2, warmup=0, repetitions=1)
         records = run_bench(config)
         # per (kernel, size, strategy): serial row + 2 static rows
@@ -77,6 +77,8 @@ class TestRunBench:
         assert labels[:3] == [(16, 16, "rowwise", "serial", 1),
                               (16, 16, "rowwise", "static", 1),
                               (16, 16, "rowwise", "static", 2)]
+        # both names run the CellWise preset, and each labels its own rows
+        assert [r.strategy for r in records] == (["rowwise"] * 3 + ["cellwise"] * 3) * 2
         for r in records:
             assert r.ms_per_step > 0
             assert r.mcells_per_s > 0
@@ -171,11 +173,10 @@ def test_make_backend_and_strategy_names():
     assert make_backend("workstealing", 4, 7) == WorkStealing(4, 7)
     with pytest.raises(ValueError):
         make_backend("fpga", 1)
-    assert strategy_name(RowWise()) == "rowwise"
-    assert strategy_name(CellWise()) == "cellwise"
-    assert strategy_name(Tiled(8, 8)) == "tiled"
-    for name in STRATEGY_NAMES:
-        assert strategy_name(make_strategy(name, (8, 4))) == name
+    assert STRATEGY_NAMES == ("rowwise", "cellwise", "tiled")
+    assert make_strategy("rowwise", (8, 4)) == make_strategy("cellwise", (8, 4)) == CellWise()
     assert make_strategy("tiled", (8, 4)) == Tiled(8, 4)
     with pytest.raises(ValueError):
         make_strategy("diagonal", (8, 4))
+    with pytest.raises(ValueError):  # the tile is checked whatever the name
+        make_strategy("rowwise", (0, 4))

@@ -9,7 +9,7 @@ from wavesweep.bench import BenchConfig
 from wavesweep.cli import RunConfig, VerifyConfig, main, parse_args
 from wavesweep.oracles import VerifyReport, VerifyResult
 from wavesweep.parallel import Serial, WorkStealing
-from wavesweep.sweep import CellWise, RowWise, Tiled
+from wavesweep.sweep import CellWise
 
 
 class TestParseBench:
@@ -20,7 +20,7 @@ class TestParseBench:
         assert cfg.kernels == ("euler",)
         assert cfg.sizes == ((1024, 1024),)
         assert cfg.threads == (1, 2, 4)
-        assert len(cfg.strategies) == 3
+        assert cfg.strategies == ("rowwise", "cellwise", "tiled")
         assert cfg.backends == ("serial", "static", "workstealing")
 
     def test_defaults_mirror_full_matrix(self):
@@ -32,7 +32,7 @@ class TestParseBench:
 
     def test_tile_flag(self):
         cfg = parse_args(["bench", "--strategy", "tiled", "--tile", "32x16"])
-        assert cfg.strategies == (Tiled(32, 16),)
+        assert cfg.strategies == ("tiled",) and cfg.tile == (32, 16)
 
     @pytest.mark.parametrize("argv", [
         ["bench", "--threads", "0"],
@@ -88,7 +88,7 @@ class TestParseRun:
         cfg = parse_args(["run", "--kernel", "euler", "--backend", "workstealing",
                           "--threads", "4", "--grain", "2", "--strategy", "rowwise"])
         assert cfg.sim.backend == WorkStealing(4, 2)
-        assert cfg.sim.strategy == RowWise()
+        assert cfg.sim.strategy == CellWise()  # "rowwise" names the CellWise preset
 
     def test_t_final_excludes_steps(self):
         cfg = parse_args(["run", "--t-final", "0.5"])

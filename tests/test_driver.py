@@ -20,7 +20,7 @@ from wavesweep.grid import BoundaryCondition, GridSpec
 from wavesweep.kernels import KernelDescriptor, rp_advection
 from wavesweep.oracles import error_norms, exact_advection
 from wavesweep.parallel import Serial, StaticThreads, WorkStealing
-from wavesweep.sweep import CellWise, RowWise, SweepError, Tiled
+from wavesweep.sweep import CellWise, SweepError, Tiled
 
 
 def gas_spec(nx, ny):
@@ -412,7 +412,7 @@ class TestRun:
         assert str(exc.value).startswith("y-interface (i=3, j=0) in step 2")
 
     @pytest.mark.parametrize("strategy,backend", [
-        (RowWise(), StaticThreads(3)),
+        (CellWise(), StaticThreads(3)),
         (Tiled(5, 4), WorkStealing(3, 2)),
         (CellWise(), WorkStealing(2)),
     ])

@@ -25,6 +25,20 @@ def test_allocation_shapes():
         assert np.all(arr == 0.0)
 
 
+def test_fresh_fluctuation_field_is_zero():
+    # a field made where a dirtied one was freed, small (heap) and large
+    # (mmap) alike, reads all zeros
+    for n in (4, 600):
+        spec = GridSpec(nx=n, ny=n, dx=0.1, dy=0.1, num_eqn=4)
+        dirty = FluctuationField(spec)
+        for arr in (dirty.x_minus, dirty.x_plus, dirty.y_minus, dirty.y_plus):
+            arr.fill(np.nan)
+        del dirty
+        fluct = FluctuationField(spec)
+        for arr in (fluct.x_minus, fluct.x_plus, fluct.y_minus, fluct.y_plus):
+            assert np.all(arr == 0.0)
+
+
 def test_allocation_minimal_grid():
     spec = GridSpec(nx=1, ny=1, dx=1.0, dy=1.0, num_eqn=4)
     state, _, _ = allocate_fields(spec)
@@ -67,9 +81,8 @@ def test_components_are_contiguous_planes():
     spec = GridSpec(nx=4, ny=3, dx=0.1, dy=0.1, num_eqn=4, num_aux=2)
     state, aux, _ = allocate_fields(spec)
     arrays = [state.data, aux.data, state.copy().data, aux.copy().data]
-    for zeroed in (True, False):
-        fluct = FluctuationField(spec, zeroed=zeroed)
-        arrays += [fluct.x_minus, fluct.x_plus, fluct.y_minus, fluct.y_plus]
+    fluct = FluctuationField(spec)
+    arrays += [fluct.x_minus, fluct.x_plus, fluct.y_minus, fluct.y_plus]
     for arr in arrays:
         _assert_planar(arr)
     assert state.copy().data.strides == state.data.strides

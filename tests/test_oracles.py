@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 import wavesweep.kernels as K
+import wavesweep.oracles as oracles
 from wavesweep.grid import GridSpec, StateField
 from wavesweep.kernels import Direction
-from wavesweep.oracles import (ErrorNorms, error_norms, euler_star,
+from wavesweep.oracles import (ErrorNorms, equivalence_mismatches, error_norms, euler_star,
                                exact_advection, exact_riemann_euler_1d,
                                fluctuation_identity_errors, linear_matrix_apply,
                                verify_suite)
+from wavesweep.parallel import WorkStealing
+from wavesweep.sweep import CellWise, Tiled
 
 SOD_L = np.array([1.0, 0.0, 0.0, 2.5])     # rho 1, at rest, p 1
 SOD_R = np.array([0.125, 0.0, 0.0, 0.25])  # rho 1/8, at rest, p 0.1
@@ -189,6 +192,26 @@ class TestErrorNorms:
         assert n2.l1 == pytest.approx(2 * n1.l1, rel=1e-12)
         assert n2.l2 == pytest.approx(2 * n1.l2, rel=1e-12)
         assert n2.linf == pytest.approx(2 * n1.linf, rel=1e-12)
+
+
+def test_equivalence_mismatch_names_the_tiling(monkeypatch):
+    # stand-in runs: every final state is zero but one Tiled(7, 5) run's, and
+    # its label must tell that tiling from Tiled() and its grain from grain 1
+    runs = []
+
+    def fake_run(config):
+        runs.append(config)
+        state = StateField(config.spec)
+        if (config.kernel, config.strategy, config.backend) == \
+                ("euler", Tiled(7, 5), WorkStealing(4, 7)):
+            state.data += 1.0
+        return state, None
+
+    monkeypatch.setattr(oracles, "run", fake_run)
+    assert equivalence_mismatches() == [
+        "euler/Tiled(tile_w=7, tile_h=5)/WorkStealing(n=4, grain=7)"]
+    assert len(runs) == len(K.KERNEL_NAMES) * 3 * 4
+    assert {c.strategy for c in runs} == {CellWise(), Tiled(), Tiled(7, 5)}
 
 
 class TestVerifySuite:

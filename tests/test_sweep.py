@@ -14,8 +14,8 @@ from wavesweep.kernels import (KERNEL_NAMES, CellPlanes, Direction, Kernel, Kern
 from wavesweep.oracles import random_gas_states
 from wavesweep.parallel import (ParallelError, Serial, StaticThreads, WorkStealing,
                                 for_each_unit)
-from wavesweep.sweep import (_UPDATE_CHUNK, CellWise, RowWise, SweepError, Tiled,
-                             apply_update, sweep)
+from wavesweep.sweep import (_UPDATE_CHUNK, CellWise, SweepError, Tiled, apply_update,
+                             sweep)
 
 PER = BoundaryCondition.PERIODIC
 
@@ -59,7 +59,7 @@ def test_two_cell_periodic_row_hand_enumeration():
     state.interior[0, :, 0] = [2.0, 5.0]
     fill_ghost(state, PER, PER)
     kernel = make_kernel("advection", u=1.0, v=0.0)
-    fluct, _ = sweep(state, aux, kernel, RowWise(), Serial())
+    fluct, _ = sweep(state, aux, kernel, CellWise(), Serial())
     assert list(fluct.x_plus[0, :, 0]) == [-3.0, 3.0, -3.0]
     assert np.all(fluct.x_minus == 0.0)
 
@@ -69,11 +69,11 @@ def test_interface_count_formula():
     state, aux, _ = allocate_fields(spec)
     fill_ghost(state, BoundaryCondition.EXTRAPOLATE, BoundaryCondition.EXTRAPOLATE)
     _, stats = sweep(state, aux, make_kernel("advection", u=1.0, v=1.0),
-                     RowWise(), Serial())
+                     CellWise(), Serial())
     assert stats.interfaces_solved == 5 * 3 + 4 * 4 == 31
 
 
-STRATEGIES = [RowWise(), CellWise(), Tiled(), Tiled(7, 5), Tiled(1, 1), Tiled(200, 200)]
+STRATEGIES = [CellWise(), Tiled(), Tiled(7, 5), Tiled(1, 1), Tiled(200, 200), Tiled(3, 200)]
 BACKENDS = [Serial(), StaticThreads(3), WorkStealing(3, 2), WorkStealing(2)]
 
 
@@ -82,7 +82,7 @@ def test_strategy_equivalence_bitwise(strategy):
     spec, state = filled_gas_field(23, 17, seed=1)
     aux = AuxField(spec)
     kernel = make_kernel("euler")
-    ref, ref_stats = sweep(state, aux, kernel, RowWise(), Serial())
+    ref, ref_stats = sweep(state, aux, kernel, CellWise(), Serial())
     out, stats = sweep(state, aux, kernel, strategy, Serial())
     assert not np.shares_memory(ref.x_minus, out.x_minus)
     for a, b in ((ref.x_minus, out.x_minus), (ref.x_plus, out.x_plus),
@@ -93,7 +93,7 @@ def test_strategy_equivalence_bitwise(strategy):
 
 
 @pytest.mark.parametrize("backend", BACKENDS[1:])
-@pytest.mark.parametrize("strategy", [RowWise(), CellWise(), Tiled(8, 8), Tiled(4, 1)])
+@pytest.mark.parametrize("strategy", [CellWise(), Tiled(8, 8), Tiled(4, 1), Tiled(7, 5)])
 def test_backend_equivalence_bitwise(strategy, backend):
     # Tiled(4, 1) on 19x11 is 5 x 12 tiles: WorkStealing(2)'s default leaf of
     # 4 tiles is rounded to one band of 5
@@ -113,7 +113,7 @@ def test_sweep_into_given_field_overwrites_every_slot():
     aux = AuxField(spec)
     kernel = make_kernel("euler")
     ref, ref_stats = sweep(state, aux, kernel, CellWise(), Serial())
-    out = FluctuationField(spec, zeroed=False)
+    out = FluctuationField(spec)
     for arr in (out.x_minus, out.x_plus, out.y_minus, out.y_plus):
         arr.fill(np.nan)
     fluct, stats = sweep(state, aux, kernel, Tiled(4, 3), StaticThreads(2), out=out)
@@ -179,7 +179,7 @@ def test_kernel_failure_reports_interface_coordinates(backend):
         spec, state = filled_gas_field(11, 6, seed=3)
         state.data[0, g + cell[0], g + cell[1]] = -1.0
         aux = AuxField(spec)
-        for strategy in (RowWise(), CellWise(), Tiled(4, 3)):
+        for strategy in (CellWise(), Tiled(4, 3)):
             assert _sweep_error(state, aux, strategy, backend) == (Direction.X, *cell)
 
     # a NaN or +inf cell trips the finiteness guard and is located the same way
@@ -187,7 +187,7 @@ def test_kernel_failure_reports_interface_coordinates(backend):
         spec, state = filled_gas_field(11, 6, seed=3)
         state.data[comp, g + cell[0], g + cell[1]] = value
         aux = AuxField(spec)
-        for strategy in (RowWise(), CellWise(), Tiled(4, 3)):
+        for strategy in (CellWise(), Tiled(4, 3)):
             with pytest.raises(SweepError, match="non-finite right state") as exc:
                 sweep(state, aux, make_kernel("euler"), strategy, backend)
             assert (exc.value.direction, exc.value.i, exc.value.j) == (Direction.X, *cell)
@@ -210,7 +210,7 @@ def test_kernel_failure_reports_interface_coordinates(backend):
         for cell in cells:
             bad.data[0, g + cell[0], g + cell[1]] = -1.0
         fill_ghost(bad, PER, PER)
-        for strategy in (RowWise(), CellWise(), Tiled(4, 3)):
+        for strategy in (CellWise(), Tiled(4, 3)):
             with pytest.raises(SweepError) as exc:
                 sweep(state, aux, make_kernel(name), strategy, backend)
             assert (exc.value.direction, exc.value.i, exc.value.j) == where
@@ -245,6 +245,31 @@ def test_overflowing_gas_cell_is_located(backend):
         with pytest.raises(SweepError, match="nonpositive pressure on right side") as exc:
             sweep(state, aux, make_kernel("euler"), CellWise(), backend)
     assert (exc.value.direction, exc.value.i, exc.value.j) == (Direction.X, 3, 2)
+
+
+@pytest.mark.parametrize("backend", [Serial(), WorkStealing(2)])
+@pytest.mark.parametrize("warn", ["error", "ignore"])
+@pytest.mark.parametrize("cells,message", [
+    # the density check trips at (5, 1); the later pressure check at (2, 1)
+    ({(2, 1): (1.0, 0.0, 0.0, 1e-310), (5, 1): (-1.0, 0.0, 0.0, 2.5)},
+     "nonpositive pressure on right side"),
+    # the finiteness check trips at (6, 1); the later density check at (2, 1)
+    ({(2, 1): (-1.0, 0.0, 0.0, 2.5), (6, 1): (np.nan, 0.0, 0.0, 2.5)},
+     "nonpositive density on right side"),
+], ids=["pressure-before-density", "density-before-nan"])
+def test_first_failing_interface_across_checks(cells, message, warn, backend):
+    # a kernel names the lowest bad element of the first check that trips;
+    # when a later check trips earlier in the row, the sweep still names the
+    # row's first failing interface, x-interface (2, 1)
+    state, aux, _ = initial_condition("euler-uniform", unit_square_spec("euler", 8, 4))
+    for cell, q in cells.items():
+        state.interior[:, cell[0], cell[1]] = q
+    fill_ghost(state, PER, PER)
+    with warnings.catch_warnings():
+        warnings.simplefilter(warn)
+        with pytest.raises(SweepError, match=message) as exc:
+            sweep(state, aux, make_kernel("euler"), CellWise(), backend)
+    assert (exc.value.direction, exc.value.i, exc.value.j) == (Direction.X, 2, 1)
 
 
 @pytest.mark.parametrize("backend", [Serial(), WorkStealing(2)])
@@ -298,7 +323,7 @@ def test_one_cell_periodic_axis(name):
         fill_ghost(state, PER, PER)
         fill_ghost(aux, PER, PER)
         kernel = make_kernel(name, **params)
-        ref, ref_stats = sweep(state, aux, kernel, RowWise(), Serial())
+        ref, ref_stats = sweep(state, aux, kernel, CellWise(), Serial())
         across = ([ref.x_minus, ref.x_plus] if nx == 1 else []) + \
                  ([ref.y_minus, ref.y_plus] if ny == 1 else [])
         for arr in across:
@@ -318,7 +343,7 @@ def test_single_write_checked_mode(monkeypatch, name):
     state, aux, params = initial_condition(DEFAULT_IC[name], unit_square_spec(name, 9, 7))
     fill_ghost(state, PER, PER)
     fill_ghost(aux, PER, PER)
-    for strategy in (RowWise(), CellWise(), Tiled(4, 3)):
+    for strategy in (CellWise(), Tiled(4, 3)):
         for backend in (Serial(), StaticThreads(3), WorkStealing(2, 1)):
             sweep(state, aux, make_kernel(name, **params), strategy, backend)
 
@@ -588,7 +613,7 @@ class TestApplyUpdate:
         spec, state = filled_gas_field(6, 5, seed=5)
         before = state.data.copy()
         from wavesweep.grid import FluctuationField
-        fluct = FluctuationField(spec)  # zeroed
+        fluct = FluctuationField(spec)
         apply_update(state, fluct, dt=0.1)
         assert np.array_equal(state.data, before)
 
