@@ -19,6 +19,11 @@ arrays: that is why a state with no batch axis is a ValueError.  Each solver
 also returns max |s| over its batch, reduced over only the speeds that can
 hold it, so that a sweep need not reduce the whole speeds array.
 
+A solver refuses an inadmissible input with a KernelError at its lowest bad
+element.  A kernel with a cell pass states its cell rule once, as a function
+over named sides that the solver applies to its two sides and the cell pass
+to a block of cells, so both refuse the same cells and raise alike.
+
 State conventions:
   advection       q = (tracer,)
   acoustics       q = (pressure, x-velocity, y-velocity)
@@ -60,11 +65,11 @@ class Direction(enum.Enum):
 class KernelError(ValueError):
     """Inadmissible or non-finite kernel input.
 
-    `side` is "left", "right" or "input", or None for a parameter problem or
-    a failure of the pair of sides (an overflowing impedance sum, say);
-    `element` is the batch multi-index of the lowest offending element of the
-    first check that fails (a later check may fail lower), None for a
-    parameter problem.
+    `side` is "left", "right" or "input" (a cell pass's block, say), and None
+    only for a parameter problem or the Roe sound-speed check, which reads
+    both sides; `element` is the batch multi-index of the lowest offending
+    element of the first check that fails (a later check may fail lower),
+    None for a parameter problem.
     """
 
     def __init__(self, message: str, side: str | None = None, element: tuple | None = None):
@@ -105,9 +110,10 @@ class KernelDescriptor:
     A `cell_pass`, if any, is called as cell_pass(q, aux, **kernel.params) on
     a block of cells, `aux` the block's aux view or None: what the solver
     would compute for each cell on every side it is read from, once, wrapped
-    for its aux slots, or None when the block fails the solver's checks.  A
-    sweep reads it here, not from the bound solve, so a Kernel rebuilt around
-    a wrapped solve keeps its cell pass.
+    for its aux slots.  It checks the solver's cell rule through the same
+    function, and a cell that fails raises the solver's located KernelError,
+    side "input".  A sweep reads it here, not from the bound solve, so a
+    Kernel rebuilt around a wrapped solve keeps its cell pass.
     """
 
     name: str
@@ -115,7 +121,7 @@ class KernelDescriptor:
     num_waves: int
     num_aux: int
     solve: Callable[..., RiemannResult]
-    cell_pass: Callable[..., CellPlanes | None] | None = None
+    cell_pass: Callable[..., CellPlanes] | None = None
     signature: inspect.Signature = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -194,29 +200,19 @@ def _check_positive(what: str, **sides: np.ndarray):
     _raise_first_bad(f"nonpositive {what} on {{side}} side", **masks)
 
 
-def _check_finite_sum(what: str, total: str, left: np.ndarray, right: np.ndarray):
-    """Raise at the lowest batch element where `what`, a quantity positive
-    where finite, is infinite or NaN on either side ("non-finite {what} on
-    {side} side"), or where left + right, named `total`, overflows ("{total}
-    overflows", naming no side).
+def _check_bounded(what: str, **sides: np.ndarray):
+    """Raise at the lowest batch element where any side's `what` is above
+    _HALF_MAX or NaN ("non-finite or too large").
 
-    Guard, then locate, as _check_positive: one reduction per side.  Two
-    values at most _HALF_MAX have a finite sum, so only a batch holding a
-    larger value, or a NaN, forms the sum.  The sum is non-finite wherever a
-    side is, so its first bad element is the first failure of either kind.
+    Guard, then locate, as _check_positive: one reduction per side (an empty
+    one has maximum 0).  A NaN maximum fails the comparison, so NaN, like any
+    value above the bound, sends the batch to the exact scan.  Two values that
+    pass have a finite sum, so a solver may add an interface's two sides.
     """
-    if np.max(left, initial=0.0) <= _HALF_MAX and np.max(right, initial=0.0) <= _HALF_MAX:
+    if all(np.max(arr, initial=0.0) <= _HALF_MAX for arr in sides.values()):
         return
-    with np.errstate(over="ignore"):
-        bad = ~np.isfinite(left + right)
-    if not bad.any():
-        return
-    element = _first_bad(bad[np.newaxis])
-    side = next((name for name, arr in (("left", left), ("right", right))
-                 if not np.isfinite(arr[element])), None)
-    if side is None:
-        raise KernelError(f"{total} overflows", element=element)
-    raise KernelError(f"non-finite {what} on {side} side", side=side, element=element)
+    masks = {name: ~(arr <= _HALF_MAX)[np.newaxis] for name, arr in sides.items()}
+    _raise_first_bad(f"non-finite or too large {what} on {{side}} side", **masks)
 
 
 def _normal_slot(direction: Direction) -> int:
@@ -267,10 +263,10 @@ class CellPlanes:
     normal/transverse) order; for acoustics-var, the impedance Z = rho c and
     the sound speed c.  Only a kernel's cell pass (`euler_cell_planes`,
     `acoustics_cell_planes`) makes them, after checking every cell of the
-    block as the solver would; indexing keeps that guarantee, so
-    `cells[i0:i1, j0:j1]` is the CellPlanes of those cells.  Passed in the
-    solver's aux slots, they stand in for its per-side work and its checks.
-    A plane may be a view of the aux field it came from.
+    block by the solver's own cell rule; indexing keeps that guarantee, so
+    `cells[i0:i1, j0:j1]` is the CellPlanes of those cells.  Passed in both
+    of the solver's aux slots, they stand in for its per-side work and its
+    cell rule.  A plane may be a view of the aux field it came from.
     """
 
     planes: tuple[np.ndarray, ...]
@@ -279,13 +275,20 @@ class CellPlanes:
         return CellPlanes(tuple(plane[batch_index] for plane in self.planes))
 
 
-def _check_cover(auxl: CellPlanes, auxr: CellPlanes, ql: np.ndarray, qr: np.ndarray):
-    """ValueError unless each side's planes cover its states' batch."""
-    if auxl.planes[0].shape != ql.shape[1:] or auxr.planes[0].shape != qr.shape[1:]:
-        raise ValueError(
-            f"cell planes must cover the states' batch {ql.shape[1:]}, "
-            f"got {auxl.planes[0].shape} and {auxr.planes[0].shape}"
-        )
+def _given_planes(auxl, auxr, ql: np.ndarray, qr: np.ndarray) -> tuple[tuple, tuple] | None:
+    """Both sides' planes when both aux slots hold CellPlanes, None when
+    neither does; ValueError for CellPlanes in one slot only, or for a plane
+    that does not cover its side's batch."""
+    given = isinstance(auxl, CellPlanes), isinstance(auxr, CellPlanes)
+    if not any(given):
+        return None
+    if not all(given):
+        raise ValueError("cell planes must fill both aux slots, or neither")
+    for cells, q in ((auxl, ql), (auxr, qr)):
+        if any(plane.shape != q.shape[1:] for plane in cells.planes):
+            raise ValueError(f"cell planes must cover the states' batch {q.shape[1:]}, "
+                             f"got {[plane.shape for plane in cells.planes]}")
+    return auxl.planes, auxr.planes
 
 
 def _acoustics(direction: Direction, jump, zl, zr, cl, cr) -> RiemannResult:
@@ -348,69 +351,62 @@ def rp_acoustics_const(direction: Direction, ql, qr, auxl=None, auxr=None, *,
     return _acoustics(direction, jump, z, z, c, c)
 
 
+def _acoustics_rule(**sides: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """acoustics-var's cell rule: (Z, c) with Z = rho * c for each side's aux
+    (rho, c), (2, batch...), in the order given, or a located KernelError.
+
+    A cell is admissible when its rho, c and Z are above the floor and Z is
+    at most _HALF_MAX, the rule rp_acoustics_const applies to its parameters
+    (0 < Z + Z < inf): the wave strengths divide by Z_l + Z_r.  A bounded Z
+    over a positive rho and c means both are finite.  c is a view of aux.
+    """
+    _check_positive("density", **{name: aux[0] for name, aux in sides.items()})
+    _check_positive("sound speed", **{name: aux[1] for name, aux in sides.items()})
+    with np.errstate(over="ignore"):  # an infinite impedance is caught below
+        z = {name: aux[0] * aux[1] for name, aux in sides.items()}
+    _check_positive("impedance", **z)
+    _check_bounded("impedance", **z)
+    return [(z[name], aux[1]) for name, aux in sides.items()]
+
+
 def rp_acoustics_var(direction: Direction, ql, qr, auxl=None, auxr=None) -> RiemannResult:
     """Acoustics across a material jump: per-cell (rho, c) on each side.
 
     The shared acoustics solution with per-interface impedances
     Z = rho * c and sound speeds c read from each side's aux, which both
-    sides must carry.  A density or sound speed not above the floor, a
-    non-finite density, sound speed or impedance (rho c may overflow), or an
-    impedance sum Z_l + Z_r that overflows raises a located KernelError.
-    Reduces bitwise to the constant-coefficient solver when both sides carry
-    the same material.
+    sides must carry.  A cell that fails the cell rule (_acoustics_rule)
+    raises a located KernelError naming its side.  Reduces bitwise to the
+    constant-coefficient solver when both sides carry the same material.
 
     Both aux slots may instead hold CellPlanes, which must be those of the
     sides' aux (from `acoustics_cell_planes`): the per-side products and the
-    density and sound-speed checks are then skipped, and the result is
-    bitwise the same.
+    cell rule are then skipped, and the result is bitwise the same.
     """
     if auxl is None or auxr is None:
         raise ValueError("acoustics-var requires aux data on both sides")
     ql, qr, jump = _check_states(ql, qr, 3)
-    if isinstance(auxl, CellPlanes) and isinstance(auxr, CellPlanes):
-        _check_cover(auxl, auxr, ql, qr)
-        (zl, cl), (zr, cr) = auxl.planes, auxr.planes
-        return _acoustics(direction, jump, zl, zr, cl, cr)
-    auxl = np.asarray(auxl, dtype=float)
-    auxr = np.asarray(auxr, dtype=float)
-    if auxl.shape != ql[:2].shape or auxr.shape != qr[:2].shape:
-        raise ValueError(
-            f"aux must have shape (2, ...) matching the states, got {auxl.shape}, {auxr.shape}"
-        )
-    _check_positive("density", left=auxl[0], right=auxr[0])
-    _check_positive("sound speed", left=auxl[1], right=auxr[1])
-    with np.errstate(over="ignore"):  # an infinite impedance is caught below
-        zl, zr = auxl[0] * auxl[1], auxr[0] * auxr[1]
-    _check_finite_sum("density, sound speed or impedance", "impedance sum Z_l + Z_r", zl, zr)
-    return _acoustics(direction, jump, zl, zr, auxl[1], auxr[1])
+    given = _given_planes(auxl, auxr, ql, qr)
+    if given is None:
+        auxl = np.asarray(auxl, dtype=float)
+        auxr = np.asarray(auxr, dtype=float)
+        if auxl.shape != ql[:2].shape or auxr.shape != qr[:2].shape:
+            raise ValueError(
+                f"aux must have shape (2, ...) matching the states, got {auxl.shape}, {auxr.shape}"
+            )
+        given = _acoustics_rule(left=auxl, right=auxr)
+    (zl, cl), (zr, cr) = given
+    return _acoustics(direction, jump, zl, zr, cl, cr)
 
 
-def acoustics_cell_planes(q, aux) -> CellPlanes | None:
-    """The CellPlanes (Z, c) of a block's aux (rho, c), (2, batch...), or
-    None if any cell's density or sound speed is not above the floor or its
-    impedance exceeds half the largest double.
-
-    Guard only, one reduction each for density, sound speed and impedance: a
-    block that passes gets Z = rho * c, the product `rp_acoustics_var` forms
-    per side, so the bits are the same, and c as a view of aux; any other
-    gets None, and its caller solves without planes so that
-    `rp_acoustics_var` locates the failure, if there is one.  With rho and c
-    positive, a finite Z means both are finite, and two impedances at most
-    half the largest double have a finite sum Z_l + Z_r.  The states `q` are
-    not read.
-    """
+def acoustics_cell_planes(q, aux) -> CellPlanes:
+    """The CellPlanes (Z, c) of a block's aux (rho, c), (2, batch...), by
+    rp_acoustics_var's own cell rule: the same bits, and a failing cell raises
+    its KernelError, side "input".  The states `q` are not read."""
     aux = np.asarray(aux, dtype=float)
     if aux.ndim < 2 or aux.shape[0] != 2:
         raise ValueError(f"acoustics aux must have shape (2, batch...), got {aux.shape}")
-    rho, c = aux
-    if not (np.min(rho, initial=np.inf) > ADMISSIBILITY_FLOOR
-            and np.min(c, initial=np.inf) > ADMISSIBILITY_FLOOR):
-        return None
-    with np.errstate(over="ignore"):  # an infinite impedance is caught below
-        z = rho * c
-    if not np.max(z, initial=0.0) <= _HALF_MAX:
-        return None
-    return CellPlanes((z, c))
+    (planes,) = _acoustics_rule(input=aux)
+    return CellPlanes(planes)
 
 
 def _euler_cells(q: np.ndarray, gamma: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -447,31 +443,32 @@ def _euler_cells(q: np.ndarray, gamma: float) -> tuple[np.ndarray, tuple[np.ndar
     return p, (sq, u, v, h)
 
 
-def euler_cell_planes(q, aux=None, *, gamma: float) -> CellPlanes | None:
-    """The CellPlanes of gas states q, (4, batch...), or None if any cell fails.
+def _euler_rule(gamma: float, **sides: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """Euler's cell rule: the Roe planes (see CellPlanes) of each side's gas
+    states, (4, batch...), in the order given, or a located KernelError.
 
-    Guard only, one reduction each for density, pressure, the pressure's
-    finiteness and the enthalpy plane: a batch whose density and pressure
-    exceed the floor, whose pressure is finite and whose sqrt(rho) H is at
-    most half the largest double gets its planes; any other gets None, and
-    its caller solves without planes so that `rp_euler` locates the failure,
-    if there is one.  With the density above the floor, a finite pressure
-    means a finite cell: an infinite or NaN density, momentum or energy makes
-    the pressure infinite or NaN.  A finite cell may still have E + p
-    overflow, and two finite enthalpy planes may overflow in the Roe average's
-    sum, hence the enthalpy's own bound.  `aux` is not read.
+    A cell is admissible when its density and pressure are above the floor
+    and its sqrt(rho) H is at most _HALF_MAX.  That makes it finite: an
+    infinite or NaN density, momentum or energy makes the pressure NaN or
+    -inf, or the pressure infinite and so H too.  Two admissible cells have
+    finite Roe sums.
     """
+    _check_positive("density", **{name: q[0] for name, q in sides.items()})
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite cell is caught below
+        cells = {name: _euler_cells(q, gamma) for name, q in sides.items()}
+    _check_positive("pressure", **{name: p for name, (p, _) in cells.items()})
+    _check_bounded("enthalpy sqrt(rho) H", **{name: pl[3] for name, (_, pl) in cells.items()})
+    return [planes for _, planes in cells.values()]
+
+
+def euler_cell_planes(q, aux=None, *, gamma: float) -> CellPlanes:
+    """The CellPlanes of gas states q, (4, batch...), by rp_euler's own cell
+    rule: the same bits, and a failing cell raises its KernelError, side
+    "input".  `aux` is not read."""
     q = np.asarray(q, dtype=float)
     if q.ndim < 2 or q.shape[0] != 4:
         raise ValueError(f"gas states must have shape (4, batch...), got {q.shape}")
-    if not np.min(q[0], initial=np.inf) > ADMISSIBILITY_FLOOR:
-        return None
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite cell is caught below
-        p, planes = _euler_cells(q, gamma)
-    if not (np.min(p, initial=np.inf) > ADMISSIBILITY_FLOOR
-            and np.max(p, initial=0.0) < np.inf
-            and np.max(planes[3], initial=0.0) <= _HALF_MAX):
-        return None
+    (planes,) = _euler_rule(gamma, input=q)
     return CellPlanes(planes)
 
 
@@ -586,25 +583,16 @@ def rp_euler(direction: Direction, ql, qr, auxl=None, auxr=None, *,
     rarefactions may be rendered as (entropy-violating) jumps; benchmarking
     kernel cost does not require shock admissibility.
 
-    A density or pressure not above the floor, an enthalpy E + p that
-    overflows, or a sum of the sides' sqrt(rho) H that does, raises a located
-    KernelError.  The aux slots are ignored unless both hold CellPlanes, which
-    must be those of ql and qr for this gamma (from `euler_cell_planes`): the
-    per-side work and the density, pressure and enthalpy checks are then
+    A cell that fails the cell rule (_euler_rule) raises a located
+    KernelError naming its side.  The aux slots are ignored unless they hold
+    CellPlanes, which must be those of ql and qr for this gamma (from
+    `euler_cell_planes`): the per-side work and the cell rule are then
     skipped, and the result is bitwise the same.
     """
     _check_gamma(gamma)
     ql, qr, jump = _check_states(ql, qr, 4)
-    if isinstance(auxl, CellPlanes) and isinstance(auxr, CellPlanes):
-        _check_cover(auxl, auxr, ql, qr)
-        return _euler_roe(direction, jump, auxl.planes, auxr.planes, gamma)
-    _check_positive("density", left=ql[0], right=qr[0])
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite cell is caught below
-        p_l, cells_l = _euler_cells(ql, gamma)
-        p_r, cells_r = _euler_cells(qr, gamma)
-    _check_positive("pressure", left=p_l, right=p_r)
-    _check_finite_sum("enthalpy", "Roe enthalpy sum sqrt(rho_l) H_l + sqrt(rho_r) H_r",
-                      cells_l[3], cells_r[3])
+    given = _given_planes(auxl, auxr, ql, qr)
+    cells_l, cells_r = given if given is not None else _euler_rule(gamma, left=ql, right=qr)
     return _euler_roe(direction, jump, cells_l, cells_r, gamma)
 
 

@@ -31,11 +31,11 @@ per block as the x-rows, the widest, fit in one call.  A kernel with a cell
 pass (its descriptor's cell_pass: Euler's Roe inputs, acoustics-var's
 impedance and sound speed) also computes each cell once per block: the pass
 covers the cells the block's x- and y-calls read, plus one halo column and
-row, and hands them to both calls in the aux slots.  It is guarded by one
-reduction per check the solver makes on a cell (Euler's density, pressure,
-finiteness and enthalpy, acoustics-var's density, sound speed and impedance);
-a block that trips the guard is solved by the plain calls, which compute the
-same bits.  The planes are block-sized temporaries, so memory stays flat.
+row, and hands them to both calls in the aux slots.  The pass checks the
+solver's own cell rule and raises its KernelError for a bad cell, which may be
+a ghost corner that no interface reads; the sweep then solves that block by
+the plain calls, which compute the same bits and locate any failure.  The
+planes are block-sized temporaries, so memory stays flat.
 Each kernel call reports its max |s| (the result's max_speed), each leaf
 returns the largest of its calls', and the sweep folds them into SweepStats.
 
@@ -240,8 +240,8 @@ class _SweepContext:
         x-rows, the widest, fit in self.block; each block takes x, then y.  A
         kernel with a cell pass computes cells [ia - 1, ib) x [a - 1, b) once
         per block, the block's interfaces plus one halo column and row, for
-        both calls; a block that trips the pass's guard is solved without
-        planes.  A KernelError leaves unlocated; sweep() locates it.
+        both calls; a block whose pass raises KernelError is solved without
+        planes.  A call's KernelError leaves unlocated; sweep() locates it.
         """
         nx, ny, g = self.spec.nx, self.spec.ny, self.spec.num_ghost
         # (direction, i stop, j stop): at the grid's top edge there is one
@@ -254,9 +254,12 @@ class _SweepContext:
             cells = None
             if self.cell_pass is not None:
                 window = (slice(None), slice(g + ia - 1, g + ib), slice(g + a - 1, g + b))
-                cells = self.cell_pass(self.q[window],
-                                       None if self.aux is None else self.aux[window],
-                                       **self.kernel.params)
+                try:
+                    cells = self.cell_pass(self.q[window],
+                                           None if self.aux is None else self.aux[window],
+                                           **self.kernel.params)
+                except KernelError:
+                    cells = None
             for d, ie, je in spans:
                 bj = min(b, je)
                 if ia < ie and a < bj:

@@ -104,8 +104,8 @@ class TestConfig:
 def test_a_kernel_declared_in_the_tables_runs_under_every_backend(monkeypatch):
     # a new kernel is one solver, one descriptor, one initial-condition entry
     # and one DEFAULT_IC entry; nothing in the sweep, scheduler or driver names it.
-    # The toy is advection at (speed, speed) with a cell pass that always
-    # declines, so its runs equal the built-in advection run bit for bit.
+    # The toy is advection at (speed, speed) with a cell pass that refuses
+    # every block, so its runs equal the built-in advection run bit for bit.
     blocks = []
 
     def solve(direction, ql, qr, auxl=None, auxr=None, *, speed):
@@ -113,7 +113,7 @@ def test_a_kernel_declared_in_the_tables_runs_under_every_backend(monkeypatch):
 
     def cell_pass(q, aux, speed):
         blocks.append(q.shape)
-        return None
+        raise kernels.KernelError("refused", side="input", element=(0, 0))
 
     monkeypatch.setitem(kernels.DESCRIPTORS, "toy",
                         KernelDescriptor("toy", 1, 1, 0, solve, cell_pass))

@@ -181,8 +181,8 @@ class TestAcousticsVar:
     @pytest.mark.parametrize("comp,value", [(0, -1.0), (0, 0.0), (0, np.nan),
                                             (1, 0.0), (1, -np.inf), (1, np.nan)])
     def test_cell_pass_refuses_any_nonpositive_material(self, comp, value):
-        # a nonpositive or NaN density or sound speed: no planes, and no warning;
-        # admissible aux gets Z = rho c and c itself, as a view
+        # a nonpositive or NaN density or sound speed: a KernelError naming the
+        # cell, and no warning; admissible aux gets Z = rho c and c itself, as a view
         aux = np.random.default_rng(16).uniform(0.5, 2.0, (2, 3, 4))
         cells = acoustics_cell_planes(None, aux)
         assert _bits(cells.planes[0]) == _bits(aux[0] * aux[1])
@@ -190,7 +190,9 @@ class TestAcousticsVar:
         aux[comp, 2, 1] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert acoustics_cell_planes(None, aux) is None
+            with pytest.raises(KernelError, match="nonpositive") as exc:
+                acoustics_cell_planes(None, aux)
+        assert exc.value.element == (2, 1) and exc.value.side == "input"
 
     def test_nonpositive_material_rejected(self):
         ql, qr = [[0.0]] * 3, [[1.0], [0.0], [0.0]]
@@ -210,31 +212,33 @@ class TestAcousticsVar:
     @pytest.mark.parametrize("rho,c", [(1.0, np.inf), (np.inf, 1.0), (1e200, 1e200)])
     def test_non_finite_material_is_located(self, rho, c):
         # an infinite density or sound speed, or an impedance rho c that
-        # overflows: the cell pass makes no planes and the plain solve names
-        # the cell, with no warning either way
+        # overflows: the cell pass and the plain solve name the cell, with no
+        # warning either way
         aux = np.random.default_rng(19).uniform(0.5, 2.0, (2, 3, 4))
         aux[:, 2, 1] = rho, c
         q = np.zeros((3, 3, 4))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert acoustics_cell_planes(q, aux) is None
+            with pytest.raises(KernelError, match="non-finite .* on input side") as cell:
+                acoustics_cell_planes(q, aux)
             with pytest.raises(KernelError, match="non-finite .* on right side") as exc:
                 rp_acoustics_var(Direction.X, q, q, np.ones((2, 3, 4)), aux)
-        assert exc.value.element == (2, 1)
+        assert exc.value.element == cell.value.element == (2, 1)
 
     def test_overflowing_impedance_sum_is_located(self):
-        # finite impedances 1.69e308 on both sides of interface 2 sum past the
-        # largest double: the cell pass makes no planes and the plain solve
-        # names the interface, with no warning; one such side alone is admissible
+        # finite impedances 1.69e308 on both sides of interface 2 would sum past
+        # the largest double: each is above half of it, so the cell pass and
+        # the plain solve name the first such cell, on its side, with no warning
         auxl, auxr = np.random.default_rng(23).uniform(0.5, 2.0, (2, 2, 5))
         auxl[:, 2] = auxr[:, 2] = auxr[:, 4] = 1.3e154
         q = np.zeros((3, 5))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert acoustics_cell_planes(q, auxr) is None
-            with pytest.raises(KernelError, match=r"impedance sum Z_l \+ Z_r overflows") as exc:
+            with pytest.raises(KernelError, match="too large impedance") as cell:
+                acoustics_cell_planes(q, auxr)
+            with pytest.raises(KernelError, match="too large impedance on left side") as exc:
                 rp_acoustics_var(Direction.X, q, q, auxl, auxr)
-        assert exc.value.element == (2,) and exc.value.side is None
+        assert exc.value.element == cell.value.element == (2,) and exc.value.side == "left"
 
     def test_xy_symmetry(self):
         rng = np.random.default_rng(13)
@@ -320,30 +324,34 @@ class TestEuler:
 
     def test_infinite_enthalpy_is_located(self):
         # energy 1.5e308 at rest and unit density: the pressure 6e307 is
-        # finite, but E + p overflows, so the cell pass makes no planes and the
-        # plain solve names the cell, with no warning
+        # finite, but E + p overflows, so the cell pass and the plain solve
+        # name the cell, with no warning
         ql = np.tile(SOD_L[:, None], (1, 5)).copy()
         qr = ql.copy()
         qr[:, 3] = 1.0, 0.0, 0.0, 1.5e308
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert euler_cell_planes(qr, gamma=1.4) is None
-            with pytest.raises(KernelError, match="non-finite enthalpy on right side") as exc:
+            with pytest.raises(KernelError, match="non-finite or too large enthalpy") as cell:
+                euler_cell_planes(qr, gamma=1.4)
+            with pytest.raises(KernelError, match="non-finite .* enthalpy .* right side") as exc:
                 rp_euler(Direction.X, ql, qr)
-        assert exc.value.element == (3,) and exc.value.side == "right"
+        assert exc.value.element == cell.value.element == (3,) and exc.value.side == "right"
 
     def test_overflowing_enthalpy_sum_is_located(self):
         # sqrt(rho) H = 1.4e308 on both sides of interface 1 is finite, but the
-        # Roe average's sum of the two overflows; one such side alone is admissible
+        # Roe average's sum of the two would overflow: each is above half the
+        # largest double, so the cell pass and the plain solve name the first
+        # such cell, on its side
         ql = np.tile(SOD_L[:, None], (1, 4)).copy()
         qr = ql.copy()
         ql[:, 1] = qr[:, 1] = qr[:, 2] = 1.0, 0.0, 0.0, 1e308
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert euler_cell_planes(qr, gamma=1.4) is None
-            with pytest.raises(KernelError, match="Roe enthalpy sum .* overflows") as exc:
+            with pytest.raises(KernelError, match="too large enthalpy") as cell:
+                euler_cell_planes(qr, gamma=1.4)
+            with pytest.raises(KernelError, match="too large enthalpy .* on left side") as exc:
                 rp_euler(Direction.X, ql, qr)
-        assert exc.value.element == (1,) and exc.value.side is None
+        assert exc.value.element == cell.value.element == (1,) and exc.value.side == "left"
 
     def test_batched_error_reports_offending_element(self):
         ql = np.tile(SOD_L[:, None], (1, 8)).copy()
@@ -532,13 +540,16 @@ class TestEulerCellPlanes:
                                             (3, np.inf), (3, 0.0)])
     def test_cell_pass_refuses_any_inadmissible_cell(self, comp, value):
         # a nonpositive or non-finite density, a non-finite momentum or energy,
-        # and an energy that leaves no pressure: no planes, and no warning
+        # and an energy that leaves no pressure: a KernelError naming the cell,
+        # and no warning
         q = random_gas_states(np.random.default_rng(16), 12, 1.4).reshape(4, 3, 4)
         assert isinstance(euler_cell_planes(q, gamma=1.4), CellPlanes)
         q[comp, 2, 1] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert euler_cell_planes(q, gamma=1.4) is None
+            with pytest.raises(KernelError) as exc:
+                euler_cell_planes(q, gamma=1.4)
+        assert exc.value.element == (2, 1) and exc.value.side == "input"
 
     def test_planes_must_cover_the_batch(self):
         q = random_gas_states(np.random.default_rng(17), 8, 1.4)
@@ -548,6 +559,29 @@ class TestEulerCellPlanes:
         cells = acoustics_cell_planes(q[:3], np.ones((2, 8)))
         with pytest.raises(ValueError, match="cell planes"):
             rp_acoustics_var(Direction.X, q[:3, :4], q[:3, 4:], cells, cells[4:])
+
+    @pytest.mark.parametrize("name", ["acoustics-var", "euler"])
+    def test_every_plane_must_cover_the_batch(self, name):
+        # a right side whose last plane alone is short: a ValueError naming the
+        # planes, not a numpy broadcast error
+        kernel = make_kernel(name, **KERNEL_PARAMS[name])
+        q = random_gas_states(np.random.default_rng(25), 8, 1.4)[:kernel.descriptor.num_eqn]
+        cells = kernel.descriptor.cell_pass(q, np.ones((2, 8)), **kernel.params)
+        short = CellPlanes(cells[4:].planes[:-1] + (cells.planes[-1][:3],))
+        with pytest.raises(ValueError, match="cell planes must cover"):
+            kernel.solve(Direction.X, q[:, :4], q[:, 4:], cells[:4], short)
+
+    @pytest.mark.parametrize("name", ["acoustics-var", "euler"])
+    def test_planes_must_fill_both_aux_slots(self, name):
+        # CellPlanes in one aux slot and an aux array in the other: a
+        # ValueError, neither a numpy error nor the planes silently ignored
+        kernel = make_kernel(name, **KERNEL_PARAMS[name])
+        q = random_gas_states(np.random.default_rng(26), 8, 1.4)[:kernel.descriptor.num_eqn]
+        aux = np.ones((2, 8))
+        cells = kernel.descriptor.cell_pass(q, aux, **kernel.params)
+        for auxl, auxr in ((cells[:4], aux[:, 4:]), (aux[:, :4], cells[4:])):
+            with pytest.raises(ValueError, match="both aux slots"):
+                kernel.solve(Direction.X, q[:, :4], q[:, 4:], auxl, auxr)
 
 
 class TestGuardThenScan:
@@ -818,6 +852,46 @@ def test_max_speed_matches_speeds_on_random_batches(name, direction, seed, n, sc
         cells = kernel.descriptor.cell_pass(q, aux, **kernel.params)
         with_planes = kernel.solve(direction, ql, qr, cells[:-1], cells[1:])
         assert with_planes.max_speed == _speeds_extreme(with_planes) == res.max_speed
+
+
+# the values a row's entries are replaced by in the one-rule property
+_EXTREMES = (0.0, 1e-310, 1e-200, 1e154, 1e250, 1e308, np.inf, -np.inf, np.nan)
+
+
+@given(name=st.sampled_from(["acoustics-var", "euler"]), direction=st.sampled_from(list(Direction)),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), share=st.floats(0.0, 0.5))
+@settings(deadline=None, max_examples=300, derandomize=True)
+def test_plain_solve_and_cell_pass_apply_one_rule(name, direction, seed, n, share):
+    # a row of cells with each state and aux entry replaced, with probability
+    # `share`, by an extreme: every cell is a side of some interface, so the
+    # plain solve refuses the row whenever the cell pass does; when the pass
+    # admits it, the solve through its planes fails as the plain one does or
+    # returns the same bits.  An admitted row may still overflow in the
+    # solution (a gas cell of energy 1e250, say), so finiteness is not asserted.
+    q, aux = _random_batch(name, seed, n, 1.0)
+    rng = np.random.default_rng(seed + 1)
+    for arr in (q, aux):
+        hit = rng.random(arr.shape) < share
+        arr[hit] = rng.choice(_EXTREMES, int(hit.sum()))
+    kernel = make_kernel(name)
+    ql, qr = q[:, :-1], q[:, 1:]
+    with np.errstate(all="ignore"):
+        try:
+            cells = kernel.descriptor.cell_pass(q, aux, **kernel.params)
+        except KernelError:
+            with pytest.raises(KernelError):
+                kernel.solve(direction, ql, qr, aux[:, :-1], aux[:, 1:])
+            return
+        outcomes = []
+        for auxl, auxr in ((aux[:, :-1], aux[:, 1:]), (cells[:-1], cells[1:])):
+            try:
+                res = kernel.solve(direction, ql, qr, auxl, auxr)
+            except KernelError as err:
+                outcomes.append((str(err), err.side, err.element))
+            else:
+                outcomes.append([_bits(np.asarray(getattr(res, field))) for field in
+                                 ("waves", "speeds", "amdq", "apdq", "max_speed")])
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("direction", [Direction.X, Direction.Y])

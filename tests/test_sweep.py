@@ -276,10 +276,11 @@ def test_first_failing_interface_across_checks(cells, message, warn, backend):
 @pytest.mark.parametrize("warn", ["error", "ignore"])
 @pytest.mark.parametrize("cells,where,message", [
     # E + p overflows at (3, 2) though the pressure 6e307 is finite
-    ({(3, 2): 1.5e308}, (Direction.X, 3, 2), "non-finite enthalpy on right side"),
-    # sqrt(rho) H = 1.4e308 is finite in either cell; the Roe sum across
-    # x-interface (4, 2) overflows
-    ({(3, 2): 1e308, (4, 2): 1e308}, (Direction.X, 4, 2), "Roe enthalpy sum"),
+    ({(3, 2): 1.5e308}, (Direction.X, 3, 2), "non-finite or too large enthalpy .* right side"),
+    # sqrt(rho) H = 1.4e308 is finite in either cell, but the Roe sum across
+    # x-interface (4, 2) would overflow: each cell is above half the largest
+    # double, and the first, read by x-interface (3, 2), is named
+    ({(3, 2): 1e308, (4, 2): 1e308}, (Direction.X, 3, 2), "too large enthalpy .* right side"),
 ], ids=["infinite-enthalpy", "enthalpy-sum"])
 def test_overflowing_enthalpy_is_located(cells, where, message, warn, backend):
     # with warnings raised or ignored alike, the sweep names the interface,
@@ -299,8 +300,9 @@ def test_overflowing_enthalpy_is_located(cells, where, message, warn, backend):
 @pytest.mark.parametrize("warn", ["error", "ignore"])
 def test_overflowing_impedance_sum_is_located(warn, backend):
     # impedances 1.69e308 in aux cells (5, 7) and (6, 7) are finite, but their
-    # sum across x-interface (6, 7) is not: the sweep names that interface
-    # rather than dividing its waves by infinity
+    # sum across x-interface (6, 7) would not be: each is above half the
+    # largest double, so the sweep names the first, read by x-interface (5, 7),
+    # rather than dividing waves by infinity
     state, aux, _ = initial_condition("acoustics-var-interface",
                                       unit_square_spec("acoustics-var", 16, 16))
     aux.interior[:, 5:7, 7] = 1.3e154
@@ -308,9 +310,40 @@ def test_overflowing_impedance_sum_is_located(warn, backend):
     fill_ghost(aux, PER, PER)
     with warnings.catch_warnings():
         warnings.simplefilter(warn)
-        with pytest.raises(SweepError, match=r"impedance sum Z_l \+ Z_r overflows") as exc:
+        with pytest.raises(SweepError, match="too large impedance on right side") as exc:
             sweep(state, aux, make_kernel("acoustics-var"), CellWise(), backend)
-    assert (exc.value.direction, exc.value.i, exc.value.j) == (Direction.X, 6, 7)
+    assert (exc.value.direction, exc.value.i, exc.value.j) == (Direction.X, 5, 7)
+
+
+@pytest.mark.parametrize("backend", [Serial(), WorkStealing(2)])
+@pytest.mark.parametrize("warn", ["error", "ignore"])
+@pytest.mark.parametrize("name,ic,shape,cells,message,where", [
+    # a lone gas cell at rest whose sqrt(rho) H = 1.4e308 is above half the
+    # largest double: it overflows the Roe arithmetic, though no sum does
+    ("euler", "euler-uniform", (8, 6), {(3, 2): (1.0, 0.0, 0.0, 1e308)},
+     "too large enthalpy .* right side", (3, 2)),
+    # rho = c = 1e-200 in two neighbouring aux cells: Z = rho c underflows
+    # to 0, which would divide the wave strengths by zero
+    ("acoustics-var", "acoustics-var-interface", (16, 16),
+     {(5, 7): (1e-200, 1e-200), (6, 7): (1e-200, 1e-200)},
+     "nonpositive impedance on right side", (5, 7)),
+], ids=["lone-enthalpy", "impedance-underflow"])
+def test_cell_refused_by_the_cell_rule_is_located(name, ic, shape, cells, message, where,
+                                                  warn, backend):
+    # a cell the cell pass refuses is refused by the plain solve too, so the
+    # sweep names it, rather than returning non-finite fluctuations with
+    # warnings ignored or an unlocated ParallelError with them raised
+    state, aux, _ = initial_condition(ic, unit_square_spec(name, *shape))
+    bad = state if name == "euler" else aux
+    for cell, values in cells.items():
+        bad.interior[:, cell[0], cell[1]] = values
+    fill_ghost(state, PER, PER)
+    fill_ghost(aux, PER, PER)
+    with warnings.catch_warnings():
+        warnings.simplefilter(warn)
+        with pytest.raises(SweepError, match=message) as exc:
+            sweep(state, aux, make_kernel(name), CellWise(), backend)
+    assert (exc.value.direction, exc.value.i, exc.value.j) == (Direction.X, *where)
 
 
 @pytest.mark.parametrize("name", KERNEL_NAMES)
